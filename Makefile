@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos fuzz bench bench-engine bench-smoke serve-smoke solve-smoke shard-smoke load stat vet lint
+.PHONY: all build test race chaos flake fuzz bench bench-engine bench-smoke serve-smoke solve-smoke shard-smoke load stat vet lint
 
 all: build test
 
@@ -28,6 +28,19 @@ chaos:
 	$(GO) test -race -short -count=1 -run 'Chaos|Protocol|Perfect|Injector|Seed|Lane|Validate|ParseSpec|Panic|YBWC' \
 		./internal/faultnet/ ./internal/msgpass/ ./internal/engine/
 
+# Flake hunt over the fault-injection suites: every test of the packages
+# whose scenarios depend on scheduling (message-passing machine, fault
+# injector, shard ring) runs 20 times at GOMAXPROCS 1, 2 and 4, so a test
+# that races the clock on some core count fails here rather than by luck
+# on a new host. About 20 minutes on a 2-CPU host, most of it the shard
+# suite at GOMAXPROCS=1 (~10 minutes, hence the raised -timeout).
+FLAKE_PKGS = ./internal/msgpass/ ./internal/faultnet/ ./internal/shard/
+flake:
+	@for p in 1 2 4; do \
+		echo "GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=20 -timeout 30m $(FLAKE_PKGS) || exit 1; \
+	done
+
 # Frame-codec fuzzing on a bounded budget: the length-prefixed TCP
 # frame reader must never panic or over-allocate on arbitrary bytes.
 # The seeded unit form of FuzzFrameRoundTrip already rides in `test`
@@ -40,8 +53,8 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Substrate benchmarks (pooled vs spawn vs sequential) plus the
-# machine-readable BENCH_engine.json artifact with its telemetry section.
+# Engine benchmarks (pooled vs sequential) plus the machine-readable
+# BENCH_engine.json artifact with its telemetry section.
 bench-engine:
 	$(GO) test -bench='BenchmarkEnginePooled' -benchmem -run='^$$' ./internal/engine/
 	$(GO) run ./cmd/gtbench -enginebench BENCH_engine.json
@@ -51,12 +64,8 @@ bench-engine:
 # -checkbench gate (schema, pooled >= sequential on the split-dense
 # workload, single-worker telemetry sanity) and diffed by gtstat (latest
 # run vs the first; both ran on this machine, so >15% is a real
-# regression, not host noise). The final gtstat -ab line is the YBWC
-# gate: within the latest run, recursive splitting (pooled) must not be
-# more than 10% slower on wall clock than spine-only (pooled_spine) at
-# any worker width — same run, same runner, so host speed cancels out.
-# The Prometheus exposition of the instrumented pass lands in
-# /tmp/bench-smoke.prom.
+# regression, not host noise). The Prometheus exposition of the
+# instrumented pass lands in /tmp/bench-smoke.prom.
 bench-smoke:
 	$(GO) test -bench='BenchmarkEnginePooled' -benchtime=1x -run='^$$' ./internal/engine/
 	rm -f /tmp/bench-smoke.json
@@ -64,7 +73,6 @@ bench-smoke:
 	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2 -promout /tmp/bench-smoke.prom
 	$(GO) run ./cmd/gtbench -checkbench /tmp/bench-smoke.json
 	$(GO) run ./cmd/gtstat -threshold 0.15 /tmp/bench-smoke.json
-	$(GO) run ./cmd/gtstat -ab pooled:pooled_spine -metric ns_per_op -threshold 0.10 /tmp/bench-smoke.json
 
 # Serving-layer smoke (CI gate): boot a race-built gtserve on an
 # ephemeral port, drive it with gtload, and assert exact search values,

@@ -206,7 +206,7 @@ func BenchmarkE12Engine(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := gametree.SearchParallel(context.Background(), pos, depth, runtime.GOMAXPROCS(0))
+			r, err := gametree.SearchParallel(context.Background(), pos, depth, gametree.EngineOptions{Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func BenchmarkE12Engine(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				r, err := gametree.SearchParallel(context.Background(), pos, depth, w)
+				r, err := gametree.SearchParallel(context.Background(), pos, depth, gametree.EngineOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}

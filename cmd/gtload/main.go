@@ -2,7 +2,7 @@
 // directly, for a baseline) and reports completed-request throughput,
 // latency quantiles and shed rates. It is the measurement half of the
 // serving experiment: the same workload run with -baseline (one
-// SearchParallelTT call per request, shared table, no residency, no
+// SearchParallel call per request, shared table, no residency, no
 // coalescing) and with -url (the resident service) produces two runs in
 // one benchfmt document whose rows align by Item key, so
 // `gtstat -metric qps` gates the service against the baseline.
@@ -285,7 +285,7 @@ func (h *httpIssuer) issueSolve(ctx context.Context, position string) outcome {
 }
 
 // baselineIssuer is the no-residency reference: every request is an
-// independent SearchParallelTT call, exactly what a stateless handler
+// independent SearchParallel call, exactly what a stateless handler
 // would do — a fresh pool spun up per request, no coalescing, no result
 // cache, and (by default) a fresh per-request transposition table, so
 // duplicates are re-searched from scratch. With -baseline-shared-table
@@ -324,7 +324,7 @@ func (b *baselineIssuer) issue(ctx context.Context, position string) outcome {
 		}
 		return out
 	}
-	res, err := engine.SearchParallelTT(sctx, pos, b.cfg.depth, engine.SearchOptions{
+	res, err := engine.SearchParallel(sctx, pos, b.cfg.depth, engine.SearchOptions{
 		Workers: b.cfg.workers,
 		Table:   table,
 	})
@@ -340,7 +340,7 @@ func (b *baselineIssuer) issue(ctx context.Context, position string) outcome {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.url, "url", "", "gtserve base URL (e.g. http://127.0.0.1:8080); empty requires -baseline")
-	flag.BoolVar(&cfg.baseline, "baseline", false, "run searches in-process, one SearchParallelTT per request")
+	flag.BoolVar(&cfg.baseline, "baseline", false, "run searches in-process, one SearchParallel per request")
 	flag.BoolVar(&cfg.solve, "solve", false, "drive POST /v1/solve (game must be nim or kayles); -expect asserts the verdict (1 proven, 0 disproven)")
 	sharedTable := flag.Bool("baseline-shared-table", false, "with -baseline: share one table across requests instead of a fresh per-request table")
 	flag.StringVar(&cfg.game, "game", "random", "workload game: random | ttt | connect4")

@@ -20,12 +20,6 @@
 //	        # cross-file mode: new's latest run vs every run of old
 //	gtstat -threshold 0.10 old.json mid.json new.json
 //	        # tighter gate; baseline pools old and mid
-//	gtstat -ab pooled:pooled_spine -metric ns_per_op new.json
-//	        # A/B mode: within new's latest run only, compare the two
-//	        # named configurations at each (workload, workers) pair and
-//	        # fail if A is more than -threshold worse than B — the CI
-//	        # ybwc-on vs ybwc-off gate. Same-run comparison, so runner
-//	        # speed cancels out.
 //
 // A configuration present on only one side is reported and skipped, not
 // failed: worker sweeps legitimately differ across hosts.
@@ -38,7 +32,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"gametree/internal/benchfmt"
@@ -49,7 +42,6 @@ func main() {
 	var (
 		threshold = flag.Float64("threshold", 0.15, "fail on throughput regressions beyond this fraction (0.15 = 15%)")
 		metric    = flag.String("metric", "nodes_per_sec", "benchmark column to compare: nodes_per_sec | ns_per_op | allocs_per_op | qps | p99_ns")
-		ab        = flag.String("ab", "", "A:B — compare configuration A against B within the last document's latest run (e.g. pooled:pooled_spine)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -57,13 +49,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var regressions int
-	var err error
-	if *ab != "" {
-		regressions, err = compareAB(os.Stdout, flag.Arg(flag.NArg()-1), *ab, *metric, *threshold)
-	} else {
-		regressions, err = compare(os.Stdout, flag.Args(), *metric, *threshold)
-	}
+	regressions, err := compare(os.Stdout, flag.Args(), *metric, *threshold)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gtstat:", err)
 		os.Exit(2)
@@ -199,113 +185,6 @@ func compare(w io.Writer, paths []string, metric string, threshold float64) (int
 			fmt.Fprintf(w, "note: %s only in candidate\n", it.Key())
 		}
 	}
-	return regressions, nil
-}
-
-// compareAB gates configuration A against configuration B *within* the
-// last document's latest run: across the (workload, workers) pairs
-// carrying both names, A must not be more than threshold worse than B on
-// the metric *in geometric mean*. Both rows of a pair come from the same
-// run on the same host, so absolute runner speed cancels out — this is
-// the CI gate for "recursive YBWC (pooled) must not be slower than
-// spine-only (pooled_spine)". Per-pair deltas are reported but not
-// individually gated: a single multi-worker pair on a busy runner swings
-// tens of percent either way from speculative node-count variance, while
-// the geometric mean across the sweep isolates a systematic slowdown.
-func compareAB(w io.Writer, path, ab, metric string, threshold float64) (int, error) {
-	nameA, nameB, ok := strings.Cut(ab, ":")
-	if !ok || nameA == "" || nameB == "" {
-		return 0, fmt.Errorf("-ab wants A:B (e.g. pooled:pooled_spine), got %q", ab)
-	}
-	doc, err := benchfmt.Load(path)
-	if err != nil {
-		return 0, err
-	}
-	run := doc.Latest()
-	if run == nil {
-		return 0, fmt.Errorf("%s: document has no runs", path)
-	}
-	type pairKey struct {
-		workload string
-		workers  int
-	}
-	va := map[pairKey]float64{}
-	vb := map[pairKey]float64{}
-	var keys []pairKey
-	for _, it := range run.Benchmarks {
-		if it.Name != nameA && it.Name != nameB {
-			continue
-		}
-		v, err := metricOf(it, metric)
-		if err != nil {
-			return 0, err
-		}
-		k := pairKey{it.Workload, it.Workers}
-		if it.Name == nameA {
-			va[k] = v
-		} else {
-			vb[k] = v
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].workload != keys[j].workload {
-			return keys[i].workload < keys[j].workload
-		}
-		return keys[i].workers < keys[j].workers
-	})
-	fmt.Fprintf(w, "A/B within run %s (%s): %s vs %s, metric: %s, threshold: %.0f%%\n\n",
-		run.Commit, run.Generated, nameA, nameB, metric, threshold*100)
-	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(tw, "config\t%s\t%s\tdelta\tverdict\n", nameA, nameB)
-	pairs := 0
-	logSum := 0.0
-	seen := map[pairKey]bool{}
-	for _, k := range keys {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		a, okA := va[k]
-		b, okB := vb[k]
-		if !okA || !okB {
-			fmt.Fprintf(tw, "%s/w%d\t-\t-\t-\tunpaired\n", k.workload, k.workers)
-			continue
-		}
-		pairs++
-		// metricOf negates "lower is better" columns, so a/b on absolute
-		// values is uniformly "A's cost relative to B's".
-		ratio := math.Abs(a) / math.Abs(b)
-		if a < 0 { // negated metric: a is the cost, invert to a benefit ratio
-			ratio = 1 / ratio
-		}
-		logSum += math.Log(ratio)
-		delta := ratio - 1
-		note := "ok"
-		if delta < -threshold {
-			note = "slower"
-		} else if delta > threshold {
-			note = "faster"
-		}
-		fmt.Fprintf(tw, "%s/w%d\t%s\t%s\t%+.1f%%\t%s\n",
-			k.workload, k.workers, fmtMetric(a), fmtMetric(b), delta*100, note)
-	}
-	if err := tw.Flush(); err != nil {
-		return 0, err
-	}
-	if pairs == 0 {
-		return 0, fmt.Errorf("%s: no (workload, workers) pair carries both %q and %q", path, nameA, nameB)
-	}
-	geoDelta := math.Expm1(logSum / float64(pairs))
-	verdict := "ok"
-	regressions := 0
-	if geoDelta < -threshold {
-		verdict = "REGRESSED"
-		regressions = 1
-	} else if geoDelta > threshold {
-		verdict = "improved"
-	}
-	fmt.Fprintf(w, "\ngeometric mean over %d pair(s): %+.1f%% — %s\n", pairs, geoDelta*100, verdict)
 	return regressions, nil
 }
 

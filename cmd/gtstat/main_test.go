@@ -144,100 +144,3 @@ func TestCompareV1Baseline(t *testing.T) {
 		t.Fatalf("3%% wobble flagged as regression:\n%s", sb.String())
 	}
 }
-
-// synthABRun builds one run carrying pooled and pooled_spine rows at two
-// widths, with the pooled ns/op scaled by slowdown (1.0 = identical).
-func synthABRun(slowdown float64) benchfmt.Run {
-	item := func(name, ybwc string, workers int, nsPerOp float64) benchfmt.Item {
-		return benchfmt.Item{
-			Workload: "tree", Name: name, YBWC: ybwc, Workers: workers, Reps: 5,
-			NsPerOp: nsPerOp, NodesPerOp: 1000, NodesPerSec: 1e12 / nsPerOp,
-		}
-	}
-	return benchfmt.Run{
-		Generated:  "2026-08-06T00:00:00Z",
-		Commit:     "abc",
-		GoVersion:  "go1.24.0",
-		GOMAXPROCS: 1,
-		Benchmarks: []benchfmt.Item{
-			item("pooled", "on", 1, 1e6*slowdown),
-			item("pooled_spine", "off", 1, 1e6),
-			item("pooled", "on", 8, 2e6*slowdown),
-			item("pooled_spine", "off", 8, 2e6),
-			item("sequential", "", 0, 1e6), // must be ignored by -ab
-		},
-	}
-}
-
-// TestCompareABOk: equal A and B rows pass the same-run gate.
-func TestCompareABOk(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	writeDoc(t, path, synthABRun(1.0))
-	var sb strings.Builder
-	n, err := compareAB(&sb, path, "pooled:pooled_spine", "ns_per_op", 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("identical A/B rows reported %d regressions:\n%s", n, sb.String())
-	}
-	if !strings.Contains(sb.String(), "tree/w8") {
-		t.Fatalf("output missing the w8 pair:\n%s", sb.String())
-	}
-}
-
-// TestCompareABRegressed: A systematically 25% slower than B on ns/op
-// (both pairs, so the geometric mean moves with them) must fail the gate.
-func TestCompareABRegressed(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	writeDoc(t, path, synthABRun(1.25))
-	var sb strings.Builder
-	n, err := compareAB(&sb, path, "pooled:pooled_spine", "ns_per_op", 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("want the geometric-mean gate to regress, got %d:\n%s", n, sb.String())
-	}
-	if !strings.Contains(sb.String(), "REGRESSED") {
-		t.Fatalf("summary line missing REGRESSED:\n%s", sb.String())
-	}
-}
-
-// TestCompareABOutlierTolerated: one pair wildly slower (multi-worker
-// speculation variance on a busy runner) while the other is at parity
-// must NOT fail the gate — only a systematic slowdown moves the
-// geometric mean past the threshold. sqrt(1.0 * 1/1.30) - 1 = -12%...
-// so use 1.18: sqrt(1/1.18)-1 = -8% — inside a 10% threshold.
-func TestCompareABOutlierTolerated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	run := synthABRun(1.0)
-	run.Benchmarks[2].NsPerOp *= 1.18 // only the w8 pooled row
-	writeDoc(t, path, run)
-	var sb strings.Builder
-	n, err := compareAB(&sb, path, "pooled:pooled_spine", "ns_per_op", 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("single-pair outlier failed the geometric-mean gate:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "slower") {
-		t.Fatalf("outlier pair not annotated as slower:\n%s", sb.String())
-	}
-}
-
-// TestCompareABUnpaired: a document with no overlapping (workload,
-// workers) pair is a usage error, not a silent pass.
-func TestCompareABUnpaired(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	writeDoc(t, path, synthRun("aaa", 30e6)) // has pooled but no pooled_spine
-	var sb strings.Builder
-	if _, err := compareAB(&sb, path, "pooled:pooled_spine", "ns_per_op", 0.10); err == nil {
-		t.Fatal("expected an error for a document with no A/B pairs")
-	}
-}

@@ -28,7 +28,7 @@ func main() {
 
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		start = time.Now()
-		par, err := gametree.SearchParallel(context.Background(), pos, depth, workers)
+		par, err := gametree.SearchParallel(context.Background(), pos, depth, gametree.EngineOptions{Workers: workers})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -322,10 +322,12 @@ var ErrSearchPanic = engine.ErrSearchPanic
 // Search evaluates pos to the given depth sequentially.
 func Search(pos Position, depth int) SearchResult { return engine.Search(pos, depth) }
 
-// SearchParallel evaluates pos using the width-style cascade over up to
-// `workers` goroutines; it returns exactly Search's value.
-func SearchParallel(ctx context.Context, pos Position, depth, workers int) (SearchResult, error) {
-	return engine.SearchParallel(ctx, pos, depth, workers)
+// SearchParallel evaluates pos with the pooled width-style cascade on
+// opt.Workers goroutines (0 = GOMAXPROCS), with an optional shared
+// transposition table and telemetry recorder; it returns exactly
+// Search's value.
+func SearchParallel(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
+	return engine.SearchParallel(ctx, pos, depth, opt)
 }
 
 // Play returns the index of the best root move.
@@ -420,12 +422,8 @@ type TranspositionTable = engine.Table
 // transposition table.
 type Hasher = engine.Hasher
 
-// SearchOptions configures the table-driven searches, including the
-// recursive-splitting knobs: SplitHorizon (remaining depth at and below
-// which a worker searches sequentially in place; 0 = the default two
-// ply) and SpineOnly (true restores the pre-YBWC discipline where only
-// the leftmost spine opens split points and speculative subtrees run
-// sequentially).
+// EngineOptions configures the engine searches: worker count, optional
+// transposition table, optional telemetry recorder.
 type EngineOptions = engine.SearchOptions
 
 // NewTranspositionTable allocates a table with at least the given number
@@ -439,14 +437,15 @@ func SearchTT(ctx context.Context, pos Position, depth int, opt EngineOptions) (
 }
 
 // EnginePool is a resident work-stealing search pool: the worker set of
-// SearchParallelTT kept alive across searches, so a long-lived caller
+// SearchParallel kept alive across searches, so a long-lived caller
 // (such as the gtserve service) pays pool construction once instead of
 // per request. One pool runs one search at a time; several pools may
 // share one TranspositionTable.
 type EnginePool = engine.Pool
 
 // NewEnginePool builds a resident pool of workers (0 = GOMAXPROCS) over
-// table (nil disables the transposition table).
+// table (nil disables the transposition table). Pools sharing one
+// recorder each take their own telemetry shards.
 func NewEnginePool(workers int, table *TranspositionTable, rec *TelemetryRecorder) *EnginePool {
 	return engine.NewPool(workers, table, rec)
 }
@@ -455,12 +454,6 @@ func NewEnginePool(workers int, table *TranspositionTable, rec *TelemetryRecorde
 // and returns the final result plus the principal variation.
 func SearchIterative(ctx context.Context, pos Position, maxDepth int, opt EngineOptions) (SearchResult, []int, error) {
 	return engine.SearchIterative(ctx, pos, maxDepth, opt)
-}
-
-// SearchParallelTT combines the parallel cascade with a shared lock-free
-// transposition table.
-func SearchParallelTT(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
-	return engine.SearchParallelTT(ctx, pos, depth, opt)
 }
 
 // StationaryBias returns the fixed point of the NOR level map
@@ -510,8 +503,9 @@ func SearchPVS(ctx context.Context, pos Position, depth int, opt EngineOptions) 
 
 // MTDF evaluates pos with Plaat's MTD(f) — zero-window searches driven by
 // the transposition table, the depth-first reformulation of SSS*.
-func MTDF(pos Position, depth int, first int32, opt EngineOptions) SearchResult {
-	return engine.MTDF(pos, depth, first, opt)
+// Cancelling ctx returns ErrSearchCancelled and a zero Result.
+func MTDF(ctx context.Context, pos Position, depth int, first int32, opt EngineOptions) (SearchResult, error) {
+	return engine.MTDF(ctx, pos, depth, first, opt)
 }
 
 // WidthProcessorBound returns sum_{k<=w} C(n,k)(d-1)^k, the maximum
@@ -568,12 +562,6 @@ type TelemetryReport = telemetry.Report
 
 // NewTelemetryRecorder returns an empty recorder with tracing off.
 func NewTelemetryRecorder() *TelemetryRecorder { return telemetry.NewRecorder() }
-
-// SearchParallelOpt is SearchParallel with the full option set: optional
-// transposition table and optional telemetry recorder.
-func SearchParallelOpt(ctx context.Context, pos Position, depth int, opt EngineOptions) (SearchResult, error) {
-	return engine.SearchParallelOpt(ctx, pos, depth, opt)
-}
 
 // ---------------------------------------------------------------------------
 // Proof-number solver (internal/pns)

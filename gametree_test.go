@@ -143,7 +143,7 @@ func TestPublicEngine(t *testing.T) {
 	if r.Value != 8 || r.Best != 1 {
 		t.Errorf("search: %+v", r)
 	}
-	pr, err := gametree.SearchParallel(context.Background(), pos, 4, 2)
+	pr, err := gametree.SearchParallel(context.Background(), pos, 4, gametree.EngineOptions{Workers: 2})
 	if err != nil || pr.Value != 8 {
 		t.Errorf("parallel: %+v %v", pr, err)
 	}
@@ -255,7 +255,7 @@ func TestPublicNewSurface(t *testing.T) {
 	if err != nil || it.Value != plain.Value || len(pv) == 0 {
 		t.Errorf("iterative: %+v %v %v", it, pv, err)
 	}
-	pt, err := gametree.SearchParallelTT(context.Background(), pos, 7, gametree.EngineOptions{Workers: 4})
+	pt, err := gametree.SearchParallel(context.Background(), pos, 7, gametree.EngineOptions{Workers: 4})
 	if err != nil || pt.Value != plain.Value {
 		t.Errorf("parallel tt: %+v %v", pt, err)
 	}

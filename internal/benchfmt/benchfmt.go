@@ -39,14 +39,8 @@ type Machine struct {
 // triple with its throughput measurements.
 type Item struct {
 	Workload string `json:"workload"` // tree | connect4
-	Name     string `json:"name"`     // sequential | spawn | pooled | pooled_spine | pooled_tt
+	Name     string `json:"name"`     // sequential | pooled | pooled_tt (older runs: spawn, pooled_spine, pooled_wmK)
 	Workers  int    `json:"workers"`  // 0 for sequential
-	// YBWC records the splitting discipline of pooled rows: "on" for
-	// recursive YBWC (the default engine), "off" for spine-only splits.
-	// Empty for configurations where the knob does not apply. The
-	// discipline is also encoded in Name (pooled vs pooled_spine) so
-	// Key() alignment across runs stays unchanged.
-	YBWC string `json:"ybwc,omitempty"`
 	// Shards is the number of worker processes behind the serving tier
 	// for distributed gtload rows; 0 (the default) means a single
 	// process and keeps the row key identical to pre-shard documents.
@@ -58,10 +52,9 @@ type Item struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	Value       int32   `json:"value"` // search value: must agree per workload
-	// Throughput ratios against the two baselines of the same workload
-	// (zero for the baselines themselves).
+	// Throughput ratio against the sequential baseline of the same
+	// workload (zero for the baseline itself).
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
-	SpeedupVsSpawn      float64 `json:"speedup_vs_spawn,omitempty"`
 	// Serving-layer measurements (gtload / BENCH_serve.json rows only):
 	// completed-request throughput, latency quantiles over completed
 	// requests, and the fraction of requests that did not complete with
@@ -92,7 +85,6 @@ type TelemetryEntry struct {
 	Workload string           `json:"workload"`
 	Name     string           `json:"name"`
 	Workers  int              `json:"workers"`
-	YBWC     string           `json:"ybwc,omitempty"` // on | off; empty when not applicable
 	Report   telemetry.Report `json:"report"`
 }
 

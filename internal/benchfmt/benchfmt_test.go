@@ -66,6 +66,27 @@ func TestLoadNormalizesV1(t *testing.T) {
 	}
 }
 
+// TestLoadCommittedTrajectory: the committed BENCH_engine.json, whose
+// older runs carry rows and columns of retired configurations (spawn,
+// pooled_spine, pooled_wmK, speedup_vs_spawn), must keep loading.
+func TestLoadCommittedTrajectory(t *testing.T) {
+	d, err := Load(filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := map[string]bool{}
+	for _, r := range d.Runs {
+		for _, it := range r.Benchmarks {
+			if it.Name == "spawn" || it.Name == "pooled_spine" {
+				retired[it.Name] = true
+			}
+		}
+	}
+	if len(d.Runs) < 2 || !retired["spawn"] || !retired["pooled_spine"] {
+		t.Fatalf("history lost: %d runs, retired rows seen %v", len(d.Runs), retired)
+	}
+}
+
 // TestLoadRejectsUnknownSchema guards the error path the CLIs rely on.
 func TestLoadRejectsUnknownSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")

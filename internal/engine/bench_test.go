@@ -1,8 +1,7 @@
 package engine
 
-// Benchmarks of the execution substrate swap: the pooled work-stealing
-// cascade against the original goroutine-per-sibling spawn path. The
-// workload is a pessimally-ordered tree (every child improves on its
+// Benchmarks of the pooled work-stealing cascade against the sequential
+// search. The workload is a pessimally-ordered tree (every child improves on its
 // predecessor, so alpha-beta prunes little and almost every interior node
 // above the sequential horizon becomes a split point) — the regime where
 // per-split scheduling overhead dominates. The headline metrics are
@@ -28,10 +27,9 @@ func reportNodes(b *testing.B, nodes int64) {
 	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/sec")
 }
 
-// BenchmarkEnginePooled compares the substrates at GOMAXPROCS workers and
-// sweeps the pooled worker count. "spawn" is the seed engine (goroutine +
-// channel + context per split, positions without AppendMoves); "pooled" is
-// the new substrate with per-worker deques and recycled move buffers.
+// BenchmarkEnginePooled measures the pooled search at GOMAXPROCS workers
+// and sweeps its worker count; "sequential" is the baseline on positions
+// without AppendMoves.
 func BenchmarkEnginePooled(b *testing.B) {
 	plain := benchRoot
 	appender := (*BenchTreeAppender)(benchRoot)
@@ -43,23 +41,11 @@ func BenchmarkEnginePooled(b *testing.B) {
 		}
 		reportNodes(b, nodes)
 	})
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		var nodes int64
-		for i := 0; i < b.N; i++ {
-			r, err := searchParallelSpawn(context.Background(), plain, benchDepth, runtime.GOMAXPROCS(0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes += r.Nodes
-		}
-		reportNodes(b, nodes)
-	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := SearchParallel(context.Background(), appender, benchDepth, runtime.GOMAXPROCS(0))
+			r, err := SearchParallel(context.Background(), appender, benchDepth, SearchOptions{Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,7 +62,7 @@ func BenchmarkEnginePooled(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
-				r, err := SearchParallel(context.Background(), appender, benchDepth, w)
+				r, err := SearchParallel(context.Background(), appender, benchDepth, SearchOptions{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +84,7 @@ func BenchmarkEnginePooledTT(b *testing.B) {
 		table := NewTable(1 << 16)
 		var nodes int64
 		for i := 0; i < b.N; i++ {
-			r, err := SearchParallelTT(context.Background(), pos, 8,
+			r, err := SearchParallel(context.Background(), pos, 8,
 				SearchOptions{Table: table, Workers: runtime.GOMAXPROCS(0)})
 			if err != nil {
 				b.Fatal(err)

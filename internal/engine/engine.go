@@ -12,9 +12,10 @@
 // the pre-emption rule of Section 7.
 //
 // Execution happens on a fixed pool of worker goroutines with per-worker
-// work-stealing deques (see pool.go), not a goroutine per speculative
-// sibling; the original spawn-based implementation is kept below
-// (parallelSpawn) as a measurable baseline.
+// work-stealing deques (see pool.go). Speculative subtrees split again
+// recursively (YBWC) wherever a worker's deque has drained; that is the
+// one parallel search path, whether run one-shot through SearchParallel or
+// on a resident Pool.
 package engine
 
 import (
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gametree/internal/telemetry"
@@ -79,11 +79,36 @@ func Search(pos Position, depth int) Result {
 	return Result{Value: int32(v), Best: best, Nodes: e.nodes}
 }
 
-// SearchParallel evaluates the position to the given depth on a pool of
-// up to `workers` worker goroutines (0 means GOMAXPROCS) with per-worker
-// work-stealing deques. It returns the same value as Search.
-func SearchParallel(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	return searchPooled(ctx, pos, depth, workers, nil, nil, poolConfig{})
+// SearchOptions configures the searches.
+type SearchOptions struct {
+	// Workers bounds the concurrency of SearchParallel; 0 means
+	// GOMAXPROCS. The sequential searches ignore it.
+	Workers int
+	// Table, when non-nil, enables transposition-table probing and
+	// storing. Positions must implement Hasher for it to take effect.
+	Table *Table
+	// Telemetry, when non-nil, attaches the search to a telemetry
+	// recorder: per-worker counters (tasks, steals, splits, aborts, TT
+	// traffic, deque depth) and — if the recorder has tracing enabled —
+	// split-point lifetime spans. Nil keeps the hot path uninstrumented
+	// (one nil-check branch per event).
+	Telemetry *telemetry.Recorder
+}
+
+// SearchParallel evaluates the position to the given depth on a one-shot
+// pool of opt.Workers worker goroutines with per-worker work-stealing
+// deques, sharing opt.Table when set. It returns the same value as
+// Search. Long-lived callers should hold a Pool instead and amortize the
+// worker construction.
+//
+// Deadline contract: a search cut short by ctx never returns a partial
+// Result as if complete — the Result is the zero value and the error is
+// ErrCancelled, wrapping context.DeadlineExceeded when the ctx deadline
+// (rather than an explicit cancel) ended the search, so
+// errors.Is(err, context.DeadlineExceeded) distinguishes timeouts.
+func SearchParallel(ctx context.Context, pos Position, depth int, opt SearchOptions) (Result, error) {
+	opt.Table.Advance() // nil-safe
+	return searchPooled(ctx, pos, depth, opt.Workers, opt.Table, opt.Telemetry, poolConfig{})
 }
 
 // searcher is the sequential search state of one goroutine: the node
@@ -93,7 +118,6 @@ func SearchParallel(ctx context.Context, pos Position, depth, workers int) (Resu
 // chain of the current speculative task.
 type searcher struct {
 	ctx   context.Context
-	sem   chan struct{}    // bounds concurrency of the legacy spawn path
 	table *Table           // optional shared transposition table
 	stop  *atomic.Bool     // pooled: set when the search context is cancelled
 	sp    *splitPoint      // pooled: abort chain of the current task
@@ -181,60 +205,17 @@ func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest 
 		return int64(pos.Evaluate()), -1
 	}
 
-	var hash uint64
-	hashed := false
-	ttBest := -1
-	if e.table != nil {
-		if h, ok := pos.(Hasher); ok {
-			hash, hashed = h.Hash(), true
-			if e.tm != nil {
-				e.tm.TTProbes.Add(1)
-				e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
-			}
-			if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
-				if e.tm != nil {
-					e.tm.TTHits.Add(1)
-				}
-				if tb >= 0 && tb < len(moves) {
-					ttBest = tb
-				}
-				if d >= depth {
-					switch flag {
-					case BoundExact:
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					case BoundLower:
-						if int64(v) > alpha {
-							alpha = int64(v)
-						}
-					case BoundUpper:
-						if int64(v) < beta {
-							beta = int64(v)
-						}
-					}
-					if alpha >= beta {
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					}
-				}
-			}
-		}
+	slot, alpha, beta, v, cut := e.ttProbe(pos, depth, len(moves), alpha, beta)
+	if cut {
+		e.putMoves(moves, scratch)
+		return v, slot.best
 	}
 	alpha0 := alpha
 
 	best := int64(-scoreInf)
 	bestIdx := -1
 	for j := 0; j < len(moves); j++ {
-		// Visit the stored best move first, then the rest in order.
-		i := j
-		if ttBest >= 0 {
-			switch {
-			case j == 0:
-				i = ttBest
-			case j <= ttBest:
-				i = j - 1
-			}
-		}
+		i := slot.order(j)
 		v, _ := e.negamax(moves[i], depth-1, -beta, -alpha, false)
 		v = -v
 		if v > best {
@@ -248,22 +229,7 @@ func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest 
 			break
 		}
 	}
-	if hashed && !e.interrupted() {
-		flag := BoundExact
-		switch {
-		case best <= alpha0:
-			flag = BoundUpper
-		case best >= beta:
-			flag = BoundLower
-		}
-		evicted := e.table.StoreShared(hash, int32(best), depth, flag, bestIdx)
-		if e.tm != nil {
-			e.tm.TTStores.Add(1)
-			if evicted {
-				e.tm.TTEvictions.Add(1)
-			}
-		}
-	}
+	e.ttStore(slot, depth, best, alpha0, beta, bestIdx)
 	e.putMoves(moves, scratch)
 	if !wantBest {
 		return best, -1
@@ -271,122 +237,99 @@ func (e *searcher) negamax(pos Position, depth int, alpha, beta int64, wantBest 
 	return best, bestIdx
 }
 
-// parallelSpawn is the original cascade implementation — a goroutine,
-// channel and searcher struct per speculative sibling, bounded by a
-// semaphore — retained as the measurable baseline the pooled substrate is
-// benchmarked against (BenchmarkEnginePooled/spawn).
-func (e *searcher) parallelSpawn(pos Position, depth int, alpha, beta int64, wantBest bool) (int64, int) {
-	e.nodes++
-	if e.interrupted() {
-		return alpha, -1
-	}
-	if depth == 0 {
-		return int64(pos.Evaluate()), -1
-	}
-	moves := pos.Moves()
-	if len(moves) == 0 {
-		return int64(pos.Evaluate()), -1
-	}
-	// Shallow subtrees are cheaper to search in place than to schedule.
-	if depth <= 2 || len(moves) == 1 {
-		return e.negamax(pos, depth, alpha, beta, wantBest)
-	}
-
-	// Phase 1: the leftmost child establishes the window, exactly as the
-	// sequential algorithm would.
-	v0, _ := e.parallelSpawn(moves[0], depth-1, -beta, -alpha, false)
-	best := -v0
-	bestIdx := 0
-	if best > alpha {
-		alpha = best
-	}
-	if alpha >= beta || e.interrupted() {
-		return best, bestIdx
-	}
-
-	// Phase 2: speculative siblings. Each runs with the spawn-time
-	// window; a wider (stale) alpha only loses sharpness, never
-	// correctness.
-	type sibling struct {
-		idx int
-		val int64
-	}
-	subCtx, cancel := context.WithCancel(e.ctx)
-	defer cancel()
-	results := make(chan sibling, len(moves)-1)
-	var extra atomic.Int64
-	var wg sync.WaitGroup
-	a0 := atomic.Int64{}
-	a0.Store(alpha)
-	for i := 1; i < len(moves); i++ {
-		wg.Add(1)
-		go func(i int, m Position) {
-			defer wg.Done()
-			if e.sem != nil {
-				select {
-				case e.sem <- struct{}{}:
-					defer func() { <-e.sem }()
-				case <-subCtx.Done():
-					results <- sibling{i, -scoreInf}
-					return
-				}
-			}
-			sub := &searcher{ctx: subCtx, sem: e.sem, table: e.table}
-			v, _ := sub.negamax(m, depth-1, -beta, -a0.Load(), false)
-			extra.Add(sub.nodes)
-			results <- sibling{i, -v}
-		}(i, moves[i])
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	cut := false
-	for r := range results {
-		if cut || e.interrupted() {
-			continue // drain
-		}
-		if r.val > best {
-			best = r.val
-			bestIdx = r.idx
-		}
-		if best > alpha {
-			alpha = best
-			a0.Store(alpha)
-		}
-		if alpha >= beta {
-			cut = true
-			cancel() // abort remaining speculative siblings
-		}
-	}
-	e.nodes += extra.Load()
-	return best, bestIdx
+// ttSlot is a node's transposition-table handle between ttProbe and
+// ttStore: the position's hash, whether it has one (the table is set and
+// the position implements Hasher), and the stored best move (-1 if none).
+type ttSlot struct {
+	hash   uint64
+	hashed bool
+	best   int
 }
 
-// SearchParallelSpawn is the pre-pool SearchParallel (a goroutine, channel
-// and context per split point), kept as the A/B baseline for benchmarking
-// the substrates — gtbench -enginebench records it in BENCH_engine.json.
-//
-// Deprecated: use SearchParallel; this exists only to measure it against.
-func SearchParallelSpawn(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	return searchParallelSpawn(ctx, pos, depth, workers)
+// order maps loop index j to a move index: the stored best move first,
+// then the rest in their generated order.
+func (s ttSlot) order(j int) int {
+	switch {
+	case s.best < 0 || j > s.best:
+		return j
+	case j == 0:
+		return s.best
+	default:
+		return j - 1
+	}
 }
 
-func searchParallelSpawn(ctx context.Context, pos Position, depth, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = defaultWorkers()
+// ttProbe consults the transposition table at an interior node with n
+// successors. A sufficient-depth entry narrows the window to (a, b), or
+// decides the node outright: cut is then true and v is the value to
+// return. The slot carries what ttStore needs afterwards.
+func (e *searcher) ttProbe(pos Position, depth, n int, alpha, beta int64) (slot ttSlot, a, b, v int64, cut bool) {
+	slot.best = -1
+	if e.table == nil {
+		return slot, alpha, beta, 0, false
 	}
-	e := &searcher{ctx: ctx, sem: make(chan struct{}, workers)}
-	v, best := e.parallelSpawn(pos, depth, -scoreInf, scoreInf, true)
-	if ctx.Err() != nil {
-		return Result{}, ErrCancelled
+	h, ok := pos.(Hasher)
+	if !ok {
+		return slot, alpha, beta, 0, false
 	}
-	return Result{Value: int32(v), Best: best, Nodes: e.nodes}, nil
+	slot.hash, slot.hashed = h.Hash(), true
+	if e.tm != nil {
+		e.tm.TTProbes.Add(1)
+		e.tm.Hist[telemetry.HistTTProbeDepth].Observe(int64(depth))
+	}
+	tv, d, flag, tb, hit := e.table.ProbeAt(slot.hash, depth)
+	if !hit {
+		return slot, alpha, beta, 0, false
+	}
+	if e.tm != nil {
+		e.tm.TTHits.Add(1)
+	}
+	if tb >= 0 && tb < n {
+		slot.best = tb
+	}
+	if d < depth {
+		return slot, alpha, beta, 0, false
+	}
+	switch flag {
+	case BoundExact:
+		return slot, alpha, beta, int64(tv), true
+	case BoundLower:
+		alpha = max(alpha, int64(tv))
+	case BoundUpper:
+		beta = min(beta, int64(tv))
+	}
+	return slot, alpha, beta, int64(tv), alpha >= beta
+}
+
+// ttStore records a searched node's result: an upper bound if it failed
+// low against alpha0 (the window after ttProbe), a lower bound if it
+// failed high against beta, exact otherwise. Interrupted searches store
+// nothing — their values are partial.
+func (e *searcher) ttStore(slot ttSlot, depth int, best, alpha0, beta int64, bestIdx int) {
+	if !slot.hashed || e.interrupted() {
+		return
+	}
+	flag := BoundExact
+	switch {
+	case best <= alpha0:
+		flag = BoundUpper
+	case best >= beta:
+		flag = BoundLower
+	}
+	evicted := e.table.StoreShared(slot.hash, int32(best), depth, flag, bestIdx)
+	if e.tm != nil {
+		e.tm.TTStores.Add(1)
+		if evicted {
+			e.tm.TTEvictions.Add(1)
+		}
+	}
 }
 
 // Play returns the index of the best move at the root, or an error if the
 // position is terminal. The root move list is generated once, inside the
 // search — not pre-checked and recomputed.
 func Play(ctx context.Context, pos Position, depth, workers int) (int, error) {
-	r, err := SearchParallel(ctx, pos, depth, workers)
+	r, err := SearchParallel(ctx, pos, depth, SearchOptions{Workers: workers})
 	if err != nil {
 		return -1, err
 	}

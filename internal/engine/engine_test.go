@@ -72,7 +72,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		p := buildRandomPos(rng, depth, 4)
 		seq := Search(p, depth)
 		for _, workers := range []int{1, 2, 4, 8} {
-			par, err := SearchParallel(context.Background(), p, depth, workers)
+			par, err := SearchParallel(context.Background(), p, depth, SearchOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestBestMoveIsOptimal(t *testing.T) {
 		if len(p.kids) < 2 {
 			continue
 		}
-		r, err := SearchParallel(context.Background(), p, depth, 4)
+		r, err := SearchParallel(context.Background(), p, depth, SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,14 +121,14 @@ func TestCancellation(t *testing.T) {
 	p := buildRandomPos(rng, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SearchParallel(ctx, p, 10, 4); err != ErrCancelled {
+	if _, err := SearchParallel(ctx, p, 10, SearchOptions{Workers: 4}); err != ErrCancelled {
 		t.Errorf("want ErrCancelled, got %v", err)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	big := buildRandomPos(rand.New(rand.NewSource(6)), 14, 4)
 	start := time.Now()
-	_, err := SearchParallel(ctx2, big, 14, 4)
+	_, err := SearchParallel(ctx2, big, 14, SearchOptions{Workers: 4})
 	if err != ErrCancelled && time.Since(start) > 5*time.Second {
 		t.Errorf("cancellation did not stop the search (err=%v)", err)
 	}
@@ -152,7 +152,7 @@ func TestNodeCounting(t *testing.T) {
 	if seq.Nodes <= 0 {
 		t.Error("no nodes counted")
 	}
-	par, err := SearchParallel(context.Background(), p, 4, 4)
+	par, err := SearchParallel(context.Background(), p, 4, SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

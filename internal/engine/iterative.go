@@ -1,50 +1,6 @@
 package engine
 
-import (
-	"context"
-
-	"gametree/internal/telemetry"
-)
-
-// SearchOptions configures the table-driven searches.
-type SearchOptions struct {
-	// Table, when non-nil, enables transposition-table probing and
-	// storing. Positions must implement Hasher for it to take effect.
-	Table *Table
-	// Workers bounds the concurrency of SearchParallelTT; 0 means
-	// GOMAXPROCS.
-	Workers int
-	// Telemetry, when non-nil, attaches the search to a telemetry
-	// recorder: per-worker counters (tasks, steals, splits, aborts, TT
-	// traffic, deque depth) and — if the recorder has tracing enabled —
-	// split-point lifetime spans. Nil keeps the hot path uninstrumented
-	// (one nil-check branch per event).
-	Telemetry *telemetry.Recorder
-	// SplitHorizon is the remaining depth at or below which the pooled
-	// searches evaluate a subtree sequentially in place instead of
-	// splitting it into stealable tasks. 0 means the default (2 ply);
-	// raising it coarsens task granularity.
-	SplitHorizon int
-	// SpineOnly restores the pre-YBWC splitting discipline: stolen tasks
-	// run the plain sequential negamax and never open split points of
-	// their own, so splits exist only on the leftmost spine. The default
-	// (false) is recursive YBWC — speculative subtrees re-enter the
-	// splittable searcher and may split again, with per-node windows
-	// narrowed by the freshest shared bound.
-	SpineOnly bool
-	// Watermark raises the demand-driven split gate: a worker opens a
-	// split point while its own deque holds at most this many queued
-	// tasks. The default 0 splits only once the queue has drained
-	// (thieves are provably hungry); 1 or 2 keep that many tasks queued
-	// ahead of demand so a thief arriving between splits never stalls.
-	Watermark int
-}
-
-// poolConfig maps the option set's split-shaping knobs onto the pool's
-// internal config.
-func (opt SearchOptions) poolConfig() poolConfig {
-	return poolConfig{horizon: opt.SplitHorizon, spineOnly: opt.SpineOnly, watermark: opt.Watermark}
-}
+import "context"
 
 // SearchTT is Search with a transposition table: results of previous
 // (possibly shallower) searches seed move ordering and produce immediate
@@ -89,27 +45,6 @@ func SearchIterative(ctx context.Context, pos Position, maxDepth int, opt Search
 		last = Result{Value: int32(v), Best: best, Nodes: last.Nodes + e.nodes}
 	}
 	return last, extractPV(pos, maxDepth, opt.Table, last.Best), nil
-}
-
-// SearchParallelTT combines the parallel cascade with a shared lock-free
-// transposition table, on the same pooled substrate as SearchParallel.
-func SearchParallelTT(ctx context.Context, pos Position, depth int, opt SearchOptions) (Result, error) {
-	opt.Table.Advance()
-	return searchPooled(ctx, pos, depth, opt.Workers, opt.Table, opt.Telemetry, opt.poolConfig())
-}
-
-// SearchParallelOpt is SearchParallel with the full option set: an
-// optional transposition table and an optional telemetry recorder. It is
-// the instrumented entry point used by gtbench and gtplay.
-//
-// Deadline contract: a search cut short by ctx never returns a partial
-// Result as if complete — the Result is the zero value and the error is
-// ErrCancelled, wrapping context.DeadlineExceeded when the ctx deadline
-// (rather than an explicit cancel) ended the search, so
-// errors.Is(err, context.DeadlineExceeded) distinguishes timeouts.
-func SearchParallelOpt(ctx context.Context, pos Position, depth int, opt SearchOptions) (Result, error) {
-	opt.Table.Advance() // nil-safe
-	return searchPooled(ctx, pos, depth, opt.Workers, opt.Table, opt.Telemetry, opt.poolConfig())
 }
 
 // extractPV walks the transposition table from the root, following stored

@@ -8,8 +8,10 @@ import "context"
 // of Stockman's SSS* (Plaat et al. 1996), so together with
 // alphabeta.SSS the repository has both faces of the best-first/
 // depth-first equivalence. first is the initial guess (0 is fine; a
-// previous iteration's value converges faster).
-func MTDF(pos Position, depth int, first int32, opt SearchOptions) Result {
+// previous iteration's value converges faster). Cancellation follows
+// SearchTT: ctx is polled every checkMask nodes, and a cancelled search
+// returns ErrCancelled with a zero Result.
+func MTDF(ctx context.Context, pos Position, depth int, first int32, opt SearchOptions) (Result, error) {
 	table := opt.Table
 	if table == nil {
 		table = NewTable(1 << 16)
@@ -24,8 +26,11 @@ func MTDF(pos Position, depth int, first int32, opt SearchOptions) Result {
 		if g == lower {
 			beta = g + 1
 		}
-		e := &searcher{ctx: context.Background(), table: table}
+		e := &searcher{ctx: ctx, table: table}
 		v, b := e.negamax(pos, depth, beta-1, beta, true)
+		if ctx.Err() != nil {
+			return Result{}, ErrCancelled
+		}
 		total += e.nodes
 		g = v
 		if b >= 0 {
@@ -37,5 +42,5 @@ func MTDF(pos Position, depth int, first int32, opt SearchOptions) Result {
 			lower = g
 		}
 	}
-	return Result{Value: int32(g), Best: best, Nodes: total}
+	return Result{Value: int32(g), Best: best, Nodes: total}, nil
 }

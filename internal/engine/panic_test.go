@@ -68,7 +68,7 @@ func runTrapped(t *testing.T, spec *trapSpec, depth, workers int) error {
 	root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: depth, fanout: 4}
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchParallel(context.Background(), root, depth, workers)
+		_, err := SearchParallel(context.Background(), root, depth, SearchOptions{Workers: workers})
 		done <- err
 	}()
 	select {
@@ -151,7 +151,7 @@ func TestSearchPanicRootSplit(t *testing.T) {
 func TestNoPanicNoError(t *testing.T) {
 	spec := &trapSpec{depth: -1, index: -1}
 	root := &trapPos{trap: spec, depth: 0, index: 0, maxDepth: 6, fanout: 4}
-	r, err := SearchParallel(context.Background(), root, 6, 4)
+	r, err := SearchParallel(context.Background(), root, 6, SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

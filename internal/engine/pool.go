@@ -1,10 +1,11 @@
 package engine
 
 // This file is the pooled work-stealing execution substrate of the parallel
-// cascade. The original engine paid a scheduler tax the paper never
-// modeled: a fresh goroutine, channel and searcher struct per speculative
+// cascade. A goroutine, channel and searcher struct per speculative
 // sibling at every interior node, plus one contended atomic node counter
-// bumped on every visit. Here a fixed set of worker goroutines is created
+// bumped on every visit, is a scheduler tax the paper never modeled; on
+// split-dense trees it costs 2-3x the wall clock of this pool
+// (EXPERIMENTS E12). Here a fixed set of worker goroutines is created
 // once per pool — resident across searches for long-lived owners (the
 // exported Pool, held by the gtserve service), once per call for the
 // one-shot entry points; speculative siblings become tasks pushed onto the
@@ -19,8 +20,7 @@ package engine
 // child is searched first with the full window ("young brothers wait"),
 // the remaining siblings run speculatively with the window sharpened by
 // completed siblings, and sibling results are merged in completion order
-// until a cutoff — exactly the discipline of the goroutine-per-sibling
-// implementation this replaces (kept as parallelSpawn for comparison).
+// until a cutoff.
 
 import (
 	"context"
@@ -38,35 +38,25 @@ import (
 // place: scheduling a task costs more than searching a 2-ply subtree.
 const seqSplitDepth = 2
 
-// poolConfig shapes how a pool splits work. The zero value is not used
-// directly — constructors pass it through normalize, which applies the
-// default horizon — so a zero SplitHorizon always means seqSplitDepth.
+// poolConfig shapes how a pool splits work. The zero value is the
+// engine's one search discipline: recursive YBWC above the default
+// horizon, which newPool applies. The other settings exist for the
+// root-split baseline and for tests.
 type poolConfig struct {
 	// horizon is the remaining depth at or below which a subtree is
 	// searched sequentially in place rather than split into tasks.
 	horizon int
-	// spineOnly restores the pre-YBWC behaviour: stolen tasks run plain
-	// negamax and never open split points of their own, so splits exist
-	// only on the leftmost spine walked by worker 0.
-	spineOnly bool
 	// noYBW is the root-split baseline: every root move becomes a task
 	// with the full window and there is no young-brothers phase 1. Only
-	// meaningful together with a depth-1 horizon and spineOnly.
+	// meaningful together with a depth-1 horizon, which also keeps every
+	// stolen root child on plain negamax.
 	noYBW bool
 	// watermark is the demand-driven split gate: a worker opens a split
 	// point only while its own deque holds at most this many queued
-	// tasks (default 0 — split only when the queue has drained, i.e.
-	// thieves are actually hungry). Tests raise it to force eager
-	// splitting; production code leaves it at zero.
+	// tasks (0 — split only when the queue has drained, i.e. thieves are
+	// actually hungry). Only TestYBWCNestedAbortDrain raises it, to force
+	// eager splitting.
 	watermark int
-}
-
-// normalize applies the default horizon.
-func (c poolConfig) normalize() poolConfig {
-	if c.horizon <= 0 {
-		c.horizon = seqSplitDepth
-	}
-	return c
 }
 
 // task is one speculative sibling search, embedded in its split point's
@@ -121,10 +111,9 @@ func (sp *splitPoint) aborted() bool {
 }
 
 // complete merges one finished sibling. Results are merged in completion
-// order and ignored once a cutoff has been found — the same discipline as
-// the channel-draining loop of the spawn-based implementation, so the
-// returned values are identical. ok is false for siblings that were
-// skipped or interrupted; their (partial) values must not be merged.
+// order and ignored once a cutoff has been found. ok is false for
+// siblings that were skipped or interrupted; their (partial) values must
+// not be merged.
 func (sp *splitPoint) complete(idx int, v int64, ok bool) {
 	if ok {
 		sp.mu.Lock()
@@ -301,16 +290,16 @@ func (p *pool) err() error {
 	return p.failure
 }
 
-// newPool builds a resident pool with the caller of runSearch as worker 0
-// and launches the helper goroutines, which immediately park. shardBase
-// offsets the telemetry shard indices so several pools can share one
-// recorder without overlapping single-writer shards (the serve layer runs
-// pool k on shards [k*workers, (k+1)*workers)).
+// newPool builds a pool of workers (resolved, > 0) with the caller of
+// runSearch as worker 0 and launches the helper goroutines, which
+// immediately park. Worker i writes telemetry shard shardBase+i of rec
+// and seeds its steal RNG from that global index, so pools sharing one
+// recorder on disjoint shard ranges also draw distinct victim sequences.
 func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int, cfg poolConfig) *pool {
-	if workers <= 0 {
-		workers = defaultWorkers()
+	if cfg.horizon <= 0 {
+		cfg.horizon = seqSplitDepth
 	}
-	p := &pool{workers: make([]*worker, workers), cfg: cfg.normalize(), rec: rec}
+	p := &pool{workers: make([]*worker, workers), cfg: cfg, rec: rec}
 	p.parkCond = sync.NewCond(&p.parkMu)
 	for i := range p.workers {
 		w := &worker{pool: p, id: i, rng: uint64(shardBase+i)*0x9e3779b97f4a7c15 + 1}
@@ -521,8 +510,8 @@ func (w *worker) nextRand() uint64 {
 // correctness). Above the sequential horizon the sibling re-enters the
 // splittable searcher with the split as its enclosing abort scope, so
 // helpers working a stolen subtree open split points of their own
-// (recursive YBWC); at or below the horizon — or in spine-only mode — it
-// runs the plain sequential negamax. Siblings cut or interrupted on the
+// (recursive YBWC); at or below the horizon it runs the plain sequential
+// negamax. Siblings cut or interrupted on the
 // way report ok=false so their partial values are never merged.
 func (w *worker) runTask(t *task) {
 	if t.fn != nil {
@@ -560,7 +549,7 @@ func (w *worker) runTask(t *task) {
 		}
 	}()
 	var v int64
-	if !w.pool.cfg.spineOnly && t.depth > w.pool.cfg.horizon {
+	if t.depth > w.pool.cfg.horizon {
 		// Recursive YBWC: the stolen subtree runs the full cascade and may
 		// split again. The enclosing split chains the abort scopes, so a
 		// beta cutoff anywhere above pre-empts every nested split here.
@@ -758,9 +747,8 @@ func (w *worker) releaseSplit(sp *splitPoint) {
 // search is the pooled cascade: leftmost child first (recursively, exactly
 // as the sequential search would), then the remaining children as
 // stealable speculative tasks with the window established by the first.
-// With recursive YBWC (the default), stolen tasks re-enter this function
-// and the cascade repeats inside the speculative subtree, down to the
-// configured horizon.
+// Stolen tasks re-enter this function (recursive YBWC), so the cascade
+// repeats inside the speculative subtree, down to the horizon.
 func (w *worker) search(pos Position, depth int, alpha, beta int64, encl *splitPoint, wantBest bool) (int64, int) {
 	if w.pool.stop.Load() || (encl != nil && encl.aborted()) {
 		return alpha, -1
@@ -818,8 +806,9 @@ func (w *worker) search(pos Position, depth int, alpha, beta int64, encl *splitP
 	// in place instead; the recursion re-checks at every node, so the
 	// subtree starts splitting again the moment the queue empties.
 	// Without this gate every interior node above the horizon pays the
-	// split overhead and recursive YBWC loses ~30% wall clock to
-	// spine-only splitting; with it, split points track steal demand.
+	// split overhead (~30% wall clock on the pessimal tree); with it,
+	// split points track steal demand. Keeping one or two tasks queued
+	// ahead of demand measured no better (EXPERIMENTS E12).
 	if w.dq.bottom.Load()-w.dq.top.Load() > int64(w.pool.cfg.watermark) {
 		for i := 1; i < len(moves); i++ {
 			v, _ := w.search(moves[i], depth-1, -beta, -alpha, encl, false)
@@ -858,7 +847,14 @@ func (w *worker) search(pos Position, depth int, alpha, beta int64, encl *splitP
 // calling goroutine as worker 0 (zero handoff cost: with one worker the
 // search is plainly sequential). Long-lived callers should hold a Pool
 // instead and amortize the construction.
+//
+// A one-shot pool writes telemetry shards 0..workers-1 of rec, so
+// successive one-shot searches on one recorder accumulate into the same
+// per-worker rows; resident Pools take fresh disjoint ranges instead.
 func searchPooled(ctx context.Context, pos Position, depth, workers int, table *Table, rec *telemetry.Recorder, cfg poolConfig) (Result, error) {
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
 	p := newPool(workers, table, rec, 0, cfg)
 	defer p.close()
 	return p.runSearch(ctx, func(w0 *worker) (int64, int) {
@@ -870,16 +866,13 @@ func searchPooled(ctx context.Context, pos Position, depth, workers int, table *
 // move is a task, searched with the shared, atomically tightened alpha; no
 // phase-1 spine, no cutoffs (the root window stays full), so its
 // speculation waste is preserved for comparison. It is the pooled cascade
-// configured with a depth-1 horizon — the root is the only split node —
-// rather than a separate entry point.
+// configured with a depth-1 horizon — the root is the only split node, and
+// every stolen root child runs plain negamax — rather than a separate
+// entry point.
 func SearchRootSplit(ctx context.Context, pos Position, depth, workers int) (Result, error) {
 	horizon := depth - 1
 	if horizon < 1 {
 		horizon = 1
 	}
-	return searchPooled(ctx, pos, depth, workers, nil, nil, poolConfig{
-		horizon:   horizon,
-		spineOnly: true,
-		noYBW:     true,
-	})
+	return searchPooled(ctx, pos, depth, workers, nil, nil, poolConfig{horizon: horizon, noYBW: true})
 }

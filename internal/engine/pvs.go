@@ -11,13 +11,17 @@ import "context"
 
 // SearchPVS evaluates pos to the given depth with principal variation
 // search. It returns the same value as Search. An optional transposition
-// table (opt.Table) accelerates both tests and re-searches. Cancelling
-// ctx unwinds the search within checkMask nodes and returns ErrCancelled;
+// table (opt.Table) accelerates both tests and re-searches; its traffic,
+// and the node count, land on shard 0 of opt.Telemetry. Cancelling ctx
+// unwinds the search within checkMask nodes and returns ErrCancelled;
 // the table keeps only entries stored before the interrupt.
 func SearchPVS(ctx context.Context, pos Position, depth int, opt SearchOptions) (Result, error) {
 	opt.Table.Advance()
-	e := &searcher{ctx: ctx, table: opt.Table}
+	e := &searcher{ctx: ctx, table: opt.Table, tm: opt.Telemetry.Shard(0)}
 	v, best := e.pvs(pos, depth, -scoreInf, scoreInf)
+	if e.tm != nil {
+		e.tm.Nodes.Add(e.nodes)
+	}
 	if ctx.Err() != nil {
 		return Result{}, ErrCancelled
 	}
@@ -38,52 +42,17 @@ func (e *searcher) pvs(pos Position, depth int, alpha, beta int64) (int64, int) 
 		return int64(pos.Evaluate()), -1
 	}
 
-	var hash uint64
-	hashed := false
-	ttBest := -1
-	if e.table != nil {
-		if h, ok := pos.(Hasher); ok {
-			hash, hashed = h.Hash(), true
-			if v, d, flag, tb, hit := e.table.ProbeAt(hash, depth); hit {
-				if tb >= 0 && tb < len(moves) {
-					ttBest = tb
-				}
-				if d >= depth {
-					switch flag {
-					case BoundExact:
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					case BoundLower:
-						if int64(v) > alpha {
-							alpha = int64(v)
-						}
-					case BoundUpper:
-						if int64(v) < beta {
-							beta = int64(v)
-						}
-					}
-					if alpha >= beta {
-						e.putMoves(moves, scratch)
-						return int64(v), ttBest
-					}
-				}
-			}
-		}
+	slot, alpha, beta, v, cut := e.ttProbe(pos, depth, len(moves), alpha, beta)
+	if cut {
+		e.putMoves(moves, scratch)
+		return v, slot.best
 	}
 	alpha0 := alpha
 
 	best := int64(-scoreInf)
 	bestIdx := -1
 	for j := 0; j < len(moves); j++ {
-		i := j
-		if ttBest >= 0 {
-			switch {
-			case j == 0:
-				i = ttBest
-			case j <= ttBest:
-				i = j - 1
-			}
-		}
+		i := slot.order(j)
 		var v int64
 		if j == 0 {
 			v2, _ := e.pvs(moves[i], depth-1, -beta, -alpha)
@@ -109,16 +78,7 @@ func (e *searcher) pvs(pos Position, depth int, alpha, beta int64) (int64, int) 
 			break
 		}
 	}
-	if hashed && !e.interrupted() {
-		flag := BoundExact
-		switch {
-		case best <= alpha0:
-			flag = BoundUpper
-		case best >= beta:
-			flag = BoundLower
-		}
-		e.table.StoreShared(hash, int32(best), depth, flag, bestIdx)
-	}
+	e.ttStore(slot, depth, best, alpha0, beta, bestIdx)
 	e.putMoves(moves, scratch)
 	return best, bestIdx
 }

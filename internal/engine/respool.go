@@ -1,13 +1,13 @@
 package engine
 
 // Resident search pool: the work-stealing worker set of searchPooled kept
-// alive across searches. A one-shot SearchParallelTT pays pool
-// construction — worker structs, deque rings, helper goroutine spawns —
-// on every call; a service handling sustained traffic pays it once per
-// Pool and runs each request as a park/wake cycle on warm workers. The
-// transposition table is shared by reference, so several Pools over one
-// Table give concurrent searches that cross-seed each other's move
-// ordering (the serve layer's core configuration).
+// alive across searches. A one-shot SearchParallel pays pool construction
+// — worker structs, deque rings, helper goroutine spawns — on every call;
+// a service handling sustained traffic pays it once per Pool and runs
+// each request as a park/wake cycle on warm workers. The transposition
+// table is shared by reference, so several Pools over one Table give
+// concurrent searches that cross-seed each other's move ordering (the
+// serve layer's core configuration).
 
 import (
 	"context"
@@ -31,27 +31,17 @@ type Pool struct {
 }
 
 // NewPool builds a resident pool of workers (0 = GOMAXPROCS) over table
-// (nil disables the transposition table) with telemetry shards 0..w-1 of
-// rec (nil keeps the pool uninstrumented).
+// (nil disables the transposition table). When rec is non-nil the pool
+// takes the recorder's next workers telemetry shards, so several pools
+// sharing one recorder keep private single-writer shards and the
+// snapshot sums all of them; nil keeps the pool uninstrumented.
 func NewPool(workers int, table *Table, rec *telemetry.Recorder) *Pool {
-	return NewPoolShards(workers, table, rec, 0)
-}
-
-// NewPoolShards is NewPool with an explicit telemetry shard base: pool k
-// of a set sharing one Recorder should pass base k*workers so every
-// worker keeps a private single-writer shard.
-func NewPoolShards(workers int, table *Table, rec *telemetry.Recorder, shardBase int) *Pool {
-	return NewPoolOpt(SearchOptions{Workers: workers, Table: table, Telemetry: rec}, shardBase)
-}
-
-// NewPoolOpt is NewPoolShards taking the full option set, so resident
-// pools honour the split-shaping knobs (SplitHorizon, SpineOnly) in
-// addition to Workers, Table and Telemetry. The knobs are fixed for the
-// pool's lifetime; every Search runs under them.
-func NewPoolOpt(opt SearchOptions, shardBase int) *Pool {
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
 	return &Pool{
-		p:     newPool(opt.Workers, opt.Table, opt.Telemetry, shardBase, opt.poolConfig()),
-		table: opt.Table,
+		p:     newPool(workers, table, rec, rec.ReserveShards(workers), poolConfig{}),
+		table: table,
 	}
 }
 
@@ -61,7 +51,7 @@ func (rp *Pool) Workers() int { return len(rp.p.workers) }
 
 // Search runs one search on the resident workers, with the calling
 // goroutine as worker 0. The table generation is advanced per search,
-// mirroring SearchParallelTT. Cancellation follows the pooled contract:
+// mirroring SearchParallel. Cancellation follows the pooled contract:
 // ErrCancelled on ctx cancel, additionally wrapping
 // context.DeadlineExceeded when the deadline expired — in both cases the
 // Result is the zero value, never a partial search passed off as

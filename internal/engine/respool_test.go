@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gametree/internal/telemetry"
 )
 
 // lazyDeep is an effectively infinite lazily-generated tree: Moves
@@ -80,29 +82,93 @@ func TestResidentPoolClosed(t *testing.T) {
 	}
 }
 
-// TestSearchTTCancellation: SearchTT honours its context — both when the
-// context is dead on arrival and when it expires mid-search. The error
-// is the bare ErrCancelled sentinel (sequential path, no deadline
-// wrapping).
-func TestSearchTTCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if r, err := SearchTT(ctx, lazyDeep{}, 3, SearchOptions{}); err != ErrCancelled {
-		t.Fatalf("pre-cancelled: want ErrCancelled, got %v (result %+v)", err, r)
+// TestPoolsShareRecorder: resident pools built on one recorder take
+// disjoint shard ranges, so concurrent searches on them never share a
+// single-writer shard, and the snapshot is the sum of both searches —
+// in total and per pool range.
+func TestPoolsShareRecorder(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	a := NewPool(2, nil, rec)
+	defer a.Close()
+	b := NewPool(3, nil, rec)
+	defer b.Close()
+
+	seen := map[*telemetry.Shard]bool{}
+	for _, w := range append(append([]*worker(nil), a.p.workers...), b.p.workers...) {
+		if w.tm == nil || seen[w.tm] {
+			t.Fatalf("worker %d: shard %p missing or shared", w.id, w.tm)
+		}
+		seen[w.tm] = true
 	}
 
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel2()
-	start := time.Now()
-	if _, err := SearchTT(ctx2, lazyDeep{}, 30, SearchOptions{Table: NewTable(1 << 10)}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("timeout: want ErrCancelled, got %v", err)
+	rng := rand.New(rand.NewSource(41))
+	pa, pb := buildRandomPos(rng, 7, 4), buildRandomPos(rng, 7, 4)
+	var ra, rb Result
+	var errA, errB error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); ra, errA = a.Search(context.Background(), pa, 7) }()
+	go func() { defer wg.Done(); rb, errB = b.Search(context.Background(), pb, 7) }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
+
+	snap := rec.Snapshot()
+	if len(snap.PerWorker) != 5 {
+		t.Fatalf("recorder holds %d shards, want 2+3", len(snap.PerWorker))
+	}
+	var nodesA, nodesB int64
+	for i, c := range snap.PerWorker {
+		if i < 2 {
+			nodesA += c.Nodes
+		} else {
+			nodesB += c.Nodes
+		}
+	}
+	if nodesA != ra.Nodes || nodesB != rb.Nodes || snap.Total.Nodes != ra.Nodes+rb.Nodes {
+		t.Fatalf("shard nodes %d+%d (total %d), searches %d+%d",
+			nodesA, nodesB, snap.Total.Nodes, ra.Nodes, rb.Nodes)
 	}
 }
 
-// TestDeadlineNoPartialResult pins the SearchParallelOpt deadline
+// TestSearchTTCancellation: the sequential table-driven searches, SearchTT
+// and MTDF, honour their context — both when the context is dead on
+// arrival and when it expires mid-search. The error is the bare
+// ErrCancelled sentinel (sequential path, no deadline wrapping) and the
+// Result is the zero value.
+func TestSearchTTCancellation(t *testing.T) {
+	searches := []struct {
+		name string
+		run  func(ctx context.Context, depth int, opt SearchOptions) (Result, error)
+	}{
+		{"SearchTT", func(ctx context.Context, depth int, opt SearchOptions) (Result, error) {
+			return SearchTT(ctx, lazyDeep{}, depth, opt)
+		}},
+		{"MTDF", func(ctx context.Context, depth int, opt SearchOptions) (Result, error) {
+			return MTDF(ctx, lazyDeep{}, depth, 0, opt)
+		}},
+	}
+	for _, s := range searches {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if r, err := s.run(ctx, 3, SearchOptions{}); err != ErrCancelled || r != (Result{}) {
+			t.Fatalf("%s pre-cancelled: want ErrCancelled, got %v (result %+v)", s.name, err, r)
+		}
+
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		start := time.Now()
+		if _, err := s.run(ctx2, 30, SearchOptions{Table: NewTable(1 << 10)}); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("%s timeout: want ErrCancelled, got %v", s.name, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s cancellation took %v", s.name, elapsed)
+		}
+		cancel2()
+	}
+}
+
+// TestDeadlineNoPartialResult pins the SearchParallel deadline
 // contract: a timed-out search returns the zero Result — never a partial
 // value passed off as complete — and an error matching both ErrCancelled
 // and context.DeadlineExceeded, so callers can tell a timeout from an
@@ -110,7 +176,7 @@ func TestSearchTTCancellation(t *testing.T) {
 func TestDeadlineNoPartialResult(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	res, err := SearchParallelOpt(ctx, lazyDeep{}, 30, SearchOptions{
+	res, err := SearchParallel(ctx, lazyDeep{}, 30, SearchOptions{
 		Workers: 2,
 		Table:   NewTable(1 << 10),
 	})
@@ -128,7 +194,7 @@ func TestDeadlineNoPartialResult(t *testing.T) {
 	// existing callers, and DeadlineExceeded must not match.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	res2, err2 := SearchParallelOpt(ctx2, lazyDeep{}, 30, SearchOptions{Workers: 2})
+	res2, err2 := SearchParallel(ctx2, lazyDeep{}, 30, SearchOptions{Workers: 2})
 	if err2 != ErrCancelled {
 		t.Fatalf("explicit cancel: want bare ErrCancelled, got %v", err2)
 	}
@@ -141,7 +207,7 @@ func TestDeadlineNoPartialResult(t *testing.T) {
 }
 
 // TestConcurrentSearchesSharedTable: several goroutines hammer one
-// shared Table — via SearchParallelTT and via resident Pools — on
+// shared Table — via SearchParallel and via resident Pools — on
 // distinct positions with unique hashes. Every value must match the
 // isolated sequential search: a torn or misattributed TT entry surfaces
 // as a wrong root value, and the data paths run under -race in CI. The
@@ -171,7 +237,7 @@ func TestConcurrentSearchesSharedTable(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*nFix*rounds*2)
 
-	// Path 1: concurrent one-shot SearchParallelTT calls on the shared
+	// Path 1: concurrent one-shot SearchParallel calls on the shared
 	// table, each goroutine walking the fixtures in a different rotation.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -179,7 +245,7 @@ func TestConcurrentSearchesSharedTable(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				f := fixtures[(g+r)%nFix]
-				res, err := SearchParallelTT(context.Background(), f.pos, f.depth, SearchOptions{
+				res, err := SearchParallel(context.Background(), f.pos, f.depth, SearchOptions{
 					Workers: 2,
 					Table:   shared,
 				})

@@ -25,7 +25,7 @@ func TestTelemetrySingleWorkerExact(t *testing.T) {
 		seq := Search(p, depth)
 
 		rec := telemetry.NewRecorder()
-		r, err := SearchParallelOpt(context.Background(), p, depth,
+		r, err := SearchParallel(context.Background(), p, depth,
 			SearchOptions{Workers: 1, Telemetry: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestTelemetrySingleWorkerExact(t *testing.T) {
 		// and their drain latency is time, not structure — so it is
 		// excluded from the comparison.
 		rec2 := telemetry.NewRecorder()
-		if _, err := SearchParallelOpt(context.Background(), p, depth,
+		if _, err := SearchParallel(context.Background(), p, depth,
 			SearchOptions{Workers: 1, Telemetry: rec2}); err != nil {
 			t.Fatal(err)
 		}
@@ -72,32 +72,36 @@ func TestTelemetrySingleWorkerExact(t *testing.T) {
 	}
 }
 
-// TestTelemetryPessimalTreeAccounting uses the fixed pessimal benchmark
-// tree in spine-only mode, where the split structure is known exactly:
-// splits open only along the leftmost spine above the sequential horizon,
-// each scheduling branch-1 siblings. (Recursive YBWC — the default —
-// splits inside speculative subtrees too; its accounting is pinned by
-// TestYBWCNestedAccounting.)
+// TestTelemetryPessimalTreeAccounting pins the recursive split count on
+// the fixed pessimal benchmark tree at one worker, where scheduling is
+// deterministic. Splits open only on a drained deque, so a node above the
+// horizon splits after its eldest child returns; of its branch-1 queued
+// siblings, only the last one popped finds the deque empty again and
+// splits in turn, while the others run in place. With no cutoff
+// pre-empting a split at this size, f(d) = 2f(d-1) + 1 and f(horizon) = 0
+// give 2^(depth-horizon) - 1 splits, each scheduling branch-1 siblings,
+// and the deque never holds more than one split's siblings.
+// (TestYBWCNestedAccounting pins the spine/nested split of that count.)
 func TestTelemetryPessimalTreeAccounting(t *testing.T) {
 	const depth, branch = 6, 4
 	tree := NewPessimalTree(depth, branch, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
-		SearchOptions{Workers: 1, Telemetry: rec, SpineOnly: true}); err != nil {
+	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), depth,
+		SearchOptions{Workers: 1, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
 	c := rec.Snapshot().Total
-	wantSplits := int64(depth - seqSplitDepth)
+	wantSplits := int64(1)<<(depth-seqSplitDepth) - 1
 	if c.Splits != wantSplits {
-		t.Fatalf("splits %d, want %d (spine above the horizon)", c.Splits, wantSplits)
+		t.Fatalf("splits %d, want %d (2^(depth-horizon) - 1)", c.Splits, wantSplits)
 	}
 	siblings := wantSplits * (branch - 1)
 	if c.Tasks > siblings || c.Tasks+c.Aborts < siblings {
 		t.Fatalf("task accounting: %d tasks, %d aborts, %d siblings scheduled",
 			c.Tasks, c.Aborts, siblings)
 	}
-	if c.DequeMax < 1 || c.DequeMax > siblings {
-		t.Fatalf("deque high-water %d outside [1, %d]", c.DequeMax, siblings)
+	if c.DequeMax != branch-1 {
+		t.Fatalf("deque high-water %d, want %d (one split's siblings)", c.DequeMax, branch-1)
 	}
 }
 
@@ -136,7 +140,7 @@ func TestTelemetryTTCounters(t *testing.T) {
 	pos := buildDeepHashed(rng, 7, 3, &next)
 	rec := telemetry.NewRecorder()
 	table := NewTable(1 << 4) // tiny, to force evictions
-	if _, err := SearchParallelTT(context.Background(), pos, 7,
+	if _, err := SearchParallel(context.Background(), pos, 7,
 		SearchOptions{Table: table, Workers: 2, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +158,17 @@ func TestTelemetryTTCounters(t *testing.T) {
 		t.Fatalf("tiny table saw no evictions (stores %d)", c.TTStores)
 	}
 
-	// The sequential table search shares the same counters.
-	rec2 := telemetry.NewRecorder()
-	if _, err := SearchTT(context.Background(), pos, 5, SearchOptions{Table: NewTable(1 << 8), Telemetry: rec2}); err != nil {
-		t.Fatal(err)
-	}
-	if c2 := rec2.Snapshot().Total; c2.TTProbes == 0 || c2.Nodes == 0 {
-		t.Fatalf("sequential TT search recorded nothing: %+v", c2)
+	// The sequential table searches share the same counters.
+	for name, search := range map[string]func(context.Context, Position, int, SearchOptions) (Result, error){
+		"SearchTT": SearchTT, "SearchPVS": SearchPVS,
+	} {
+		rec2 := telemetry.NewRecorder()
+		if _, err := search(context.Background(), pos, 5, SearchOptions{Table: NewTable(1 << 8), Telemetry: rec2}); err != nil {
+			t.Fatal(err)
+		}
+		if c2 := rec2.Snapshot().Total; c2.TTProbes == 0 || c2.TTStores == 0 || c2.Nodes == 0 {
+			t.Fatalf("%s recorded no TT traffic: %+v", name, c2)
+		}
 	}
 }
 
@@ -190,7 +198,7 @@ func TestTelemetrySnapshotDuringSearch(t *testing.T) {
 		}
 		snaps <- last
 	}()
-	r, err := SearchParallelOpt(context.Background(), p, 8,
+	r, err := SearchParallel(context.Background(), p, 8,
 		SearchOptions{Workers: 4, Telemetry: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +220,7 @@ func TestTelemetryTracingSpans(t *testing.T) {
 	tree := NewPessimalTree(6, 4, 0)
 	rec := telemetry.NewRecorder()
 	rec.EnableTrace(0)
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), 6,
+	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), 6,
 		SearchOptions{Workers: 2, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +247,12 @@ func TestTelemetryTracingSpans(t *testing.T) {
 func TestTelemetryNilRecorderSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	p := buildRandomPos(rng, 6, 4)
-	plain, err := SearchParallelOpt(context.Background(), p, 6, SearchOptions{Workers: 2})
+	plain, err := SearchParallel(context.Background(), p, 6, SearchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewRecorder()
-	inst, err := SearchParallelOpt(context.Background(), p, 6,
+	inst, err := SearchParallel(context.Background(), p, 6,
 		SearchOptions{Workers: 2, Telemetry: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +270,7 @@ func TestTelemetryNilRecorderSearch(t *testing.T) {
 func TestTelemetryHistograms(t *testing.T) {
 	tree := NewPessimalTree(8, 4, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), 8,
+	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), 8,
 		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,7 @@ func TestTelemetryHistograms(t *testing.T) {
 	var next uint64
 	pos := buildDeepHashed(rng, 6, 3, &next)
 	ttRec := telemetry.NewRecorder()
-	if _, err := SearchParallelTT(context.Background(), pos, 6,
+	if _, err := SearchParallel(context.Background(), pos, 6,
 		SearchOptions{Table: NewTable(1 << 10), Workers: 2, Telemetry: ttRec}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +327,7 @@ func TestTelemetryEventLog(t *testing.T) {
 	tree := NewPessimalTree(7, 4, 0)
 	rec := telemetry.NewRecorder()
 	rec.EnableEvents(0)
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), 7,
+	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), 7,
 		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}

@@ -260,14 +260,14 @@ func TestSearchIterativeCancellation(t *testing.T) {
 	}
 }
 
-func TestSearchParallelTTMatchesPlain(t *testing.T) {
+func TestSearchParallelTableMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
 		var next uint64
 		depth := 4 + rng.Intn(3)
 		pos := buildHashed(rng, depth, 3, &next)
 		plain := Search(pos, depth)
-		par, err := SearchParallelTT(context.Background(), pos, depth,
+		par, err := SearchParallel(context.Background(), pos, depth,
 			SearchOptions{Table: NewTable(1 << 12), Workers: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 		seq := Search(p, depth)
 
 		rec := telemetry.NewRecorder()
-		par, err := SearchParallelOpt(ctx, p, depth,
+		par, err := SearchParallel(ctx, p, depth,
 			SearchOptions{Workers: 1, Telemetry: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestYBWCNodeParityOneWorker(t *testing.T) {
 	const depth, branch = 7, 4
 	tree := (*BenchTreeAppender)(NewPessimalTree(depth, branch, 0))
 	seq := Search(tree, depth)
-	par, err := SearchParallel(ctx, tree, depth, 1)
+	par, err := SearchParallel(ctx, tree, depth, SearchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestYBWCNestedAccounting(t *testing.T) {
 	const depth, branch = 6, 4
 	tree := NewPessimalTree(depth, branch, 0)
 	rec := telemetry.NewRecorder()
-	if _, err := SearchParallelOpt(context.Background(), (*BenchTreeAppender)(tree), depth,
+	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), depth,
 		SearchOptions{Workers: 1, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}

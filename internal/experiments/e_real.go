@@ -83,7 +83,7 @@ func E12MessagePassing(cfg Config) []*stats.Table {
 	tb3.AddRow("sequential", seq.Nodes, seqTime.Round(time.Millisecond).String(), 1.0)
 	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		start = time.Now()
-		par, err := engine.SearchParallel(context.Background(), pos, depth, w)
+		par, err := engine.SearchParallel(context.Background(), pos, depth, engine.SearchOptions{Workers: w})
 		el := time.Since(start)
 		if err != nil {
 			panic(err)

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,35 @@ func TestInjectorDelayAndReorder(t *testing.T) {
 	}
 	if inversions == 0 {
 		t.Fatal("delivery order identical to send order despite jitter")
+	}
+}
+
+// TestInjectorCrashAfterSends: a send-count crash fires on the
+// processor's K'th packet to another processor — that packet is lost —
+// independent of wall time; coordinator-bound traffic does not count.
+func TestInjectorCrashAfterSends(t *testing.T) {
+	in := NewInjector(Config{Seed: 1, Crashes: []ProcCrash{{Proc: 1, AfterSends: 3}}})
+	var delivered atomic.Int64
+	in.Start(func(Packet) { delivered.Add(1) })
+	defer in.Close()
+	for i := 0; i < 5; i++ {
+		in.Send(Packet{From: 1, To: -1, Payload: i}) // heartbeats: not counted
+	}
+	in.Send(Packet{From: 1, To: 0, Payload: 1})
+	in.Send(Packet{From: 1, To: 2, Payload: 2})
+	if got := (Config{Crashes: []ProcCrash{{Proc: 1, AfterSends: 3}}}).Summary(); !strings.Contains(got, "crash=[1@#3]") {
+		t.Fatalf("summary %q does not show the send-count crash", got)
+	}
+	if !in.Alive(1) || delivered.Load() != 7 {
+		t.Fatalf("crashed early: alive=%v delivered=%d", in.Alive(1), delivered.Load())
+	}
+	in.Send(Packet{From: 1, To: 0, Payload: 3}) // the 3rd: crashes proc 1
+	in.Send(Packet{From: 0, To: 1, Payload: 4})
+	if in.Alive(1) {
+		t.Fatal("proc 1 should be dead after its 3rd send")
+	}
+	if delivered.Load() != 7 || in.Stats().CrashDropped != 2 {
+		t.Fatalf("delivered %d crash_dropped %d, want 7 and 2", delivered.Load(), in.Stats().CrashDropped)
 	}
 }
 
@@ -292,6 +322,7 @@ func TestValidate(t *testing.T) {
 		{Delay: 0.5},                       // delay prob without bound
 		{Reorder: 0.1},                     // reorder without jitter bound
 		{Crashes: []ProcCrash{{Proc: -1}}}, // negative proc
+		{Crashes: []ProcCrash{{Proc: 1, AfterSends: -1}}},           // negative send count
 		{Stalls: []ProcStall{{Proc: 0, At: 0, For: 0}}},             // zero stall
 		{Stalls: []ProcStall{{Proc: 0, At: -1, For: 1}}},            // negative start
 		{Partitions: []LinkPartition{{A: -1, B: 2, For: 1}}},        // negative proc

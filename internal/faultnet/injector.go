@@ -11,10 +11,15 @@ import (
 )
 
 // ProcCrash schedules a permanent processor failure: At after the network
-// starts, Proc stops receiving and sending forever.
+// starts, Proc stops receiving and sending forever. With AfterSends > 0
+// the trigger is protocol progress instead: Proc crashes as it sends its
+// AfterSends'th packet to another processor, losing that packet. Traffic
+// to the coordinator (-1, where heartbeats go) does not count, so the
+// crash point replays with the seed however fast the host is.
 type ProcCrash struct {
-	Proc int           `json:"proc"`
-	At   time.Duration `json:"at"`
+	Proc       int           `json:"proc"`
+	At         time.Duration `json:"at"`
+	AfterSends int64         `json:"after_sends,omitempty"`
 }
 
 // ProcStall schedules a transient freeze: from At to At+For the processor
@@ -61,7 +66,8 @@ type Config struct {
 	DelayMax time.Duration `json:"delay_max,omitempty"`
 
 	// Crashes and Stalls are processor failure schedules, fired off a
-	// wall-clock timer from Start.
+	// wall-clock timer from Start (or, for a crash with AfterSends set,
+	// off the processor's send count).
 	Crashes []ProcCrash `json:"crashes,omitempty"`
 	Stalls  []ProcStall `json:"stalls,omitempty"`
 
@@ -107,6 +113,9 @@ func (c Config) Validate() error {
 		}
 		if cr.At < 0 {
 			return fmt.Errorf("faultnet: crash of processor %d at negative time %v", cr.Proc, cr.At)
+		}
+		if cr.AfterSends < 0 {
+			return fmt.Errorf("faultnet: crash of processor %d after negative send count %d", cr.Proc, cr.AfterSends)
 		}
 	}
 	for _, st := range c.Stalls {
@@ -214,7 +223,8 @@ type Injector struct {
 	wake   chan struct{}
 	done   chan struct{}
 
-	crashed []atomic.Bool // indexed by proc id; grown under mu
+	crashed []atomic.Bool  // indexed by proc id; grown under mu
+	sends   []atomic.Int64 // per cfg.Crashes entry: its processor's counted sends
 	stalls  []ProcStall
 	timers  []*time.Timer
 
@@ -238,6 +248,7 @@ func NewInjector(cfg Config) *Injector {
 	cfg.MaxLogEvents = max
 	return &Injector{
 		cfg:   cfg,
+		sends: make([]atomic.Int64, len(cfg.Crashes)),
 		lanes: make(map[linkKey]*lane),
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
@@ -250,12 +261,29 @@ func (in *Injector) Start(deliver func(Packet)) {
 	in.stalls = in.cfg.Stalls
 	for _, cr := range in.cfg.Crashes {
 		in.growCrashed(cr.Proc)
+		if cr.AfterSends > 0 {
+			continue // fired by countSend
+		}
 		proc := cr.Proc
 		in.timers = append(in.timers, time.AfterFunc(cr.At, func() {
 			in.crashed[proc].Store(true)
 		}))
 	}
 	go in.scheduler()
+}
+
+// countSend advances the AfterSends crash triggers for pkt, crashing its
+// sender when one is reached (the caller's Alive check then drops the
+// packet).
+func (in *Injector) countSend(pkt Packet) {
+	if pkt.To < 0 {
+		return
+	}
+	for i, cr := range in.cfg.Crashes {
+		if cr.AfterSends > 0 && cr.Proc == pkt.From && in.sends[i].Add(1) == cr.AfterSends {
+			in.crashed[cr.Proc].Store(true)
+		}
+	}
 }
 
 func (in *Injector) growCrashed(proc int) {
@@ -305,6 +333,7 @@ func (in *Injector) partitioned(from, to int, now time.Time) bool {
 
 func (in *Injector) Send(pkt Packet) {
 	in.stats.sent.Add(1)
+	in.countSend(pkt)
 	if !in.Alive(pkt.From) || !in.Alive(pkt.To) {
 		in.stats.crashDropped.Add(1)
 		return

@@ -169,7 +169,11 @@ func (c Config) Summary() string {
 		parts = append(parts, fmt.Sprintf("jitter<=%v", c.DelayMax))
 	}
 	for _, cr := range c.Crashes {
-		parts = append(parts, fmt.Sprintf("crash=[%d@%v]", cr.Proc, cr.At))
+		if cr.AfterSends > 0 {
+			parts = append(parts, fmt.Sprintf("crash=[%d@#%d]", cr.Proc, cr.AfterSends))
+		} else {
+			parts = append(parts, fmt.Sprintf("crash=[%d@%v]", cr.Proc, cr.At))
+		}
 	}
 	for _, st := range c.Stalls {
 		parts = append(parts, fmt.Sprintf("stall=[%d@%v+%v]", st.Proc, st.At, st.For))

@@ -76,7 +76,7 @@ func TestDomineeringParallelAndTT(t *testing.T) {
 	p := NewDomineering(4, 3)
 	depth := p.MaxMoves() + 1
 	seq := engine.Search(p, depth)
-	par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+	par, err := engine.SearchParallel(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

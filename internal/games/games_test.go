@@ -23,7 +23,7 @@ func TestTTTIsADraw(t *testing.T) {
 
 func TestTTTParallelAgrees(t *testing.T) {
 	seq := engine.Search(TTT{}, 9)
-	par, err := engine.SearchParallel(context.Background(), TTT{}, 9, 4)
+	par, err := engine.SearchParallel(context.Background(), TTT{}, 9, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestConnect4EngineFindsImmediateWin(t *testing.T) {
 	for _, c := range []int{0, 6, 1, 6, 2, 5} {
 		cur = cur.Drop(c)
 	}
-	r, err := engine.SearchParallel(context.Background(), cur, 4, 4)
+	r, err := engine.SearchParallel(context.Background(), cur, 4, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestConnect4ParallelAgreesWithSequential(t *testing.T) {
 	p := NewConnect4(5, 4, 3)
 	for depth := 1; depth <= 6; depth++ {
 		seq := engine.Search(p, depth)
-		par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+		par, err := engine.SearchParallel(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

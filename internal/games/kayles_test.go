@@ -63,7 +63,7 @@ func TestKaylesParallelAgrees(t *testing.T) {
 	p := NewKayles(4, 3)
 	depth := p.TotalPins() + 1
 	seq := engine.Search(p, depth)
-	par, err := engine.SearchParallel(context.Background(), p, depth, 4)
+	par, err := engine.SearchParallel(context.Background(), p, depth, engine.SearchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
-				r, err := engine.SearchParallelTT(context.Background(), pos, 6,
+				r, err := engine.SearchParallel(context.Background(), pos, 6,
 					engine.SearchOptions{Table: table, Workers: 8})
 				if err != nil {
 					t.Error(err)
@@ -41,7 +41,7 @@ func TestSearchParallelRaceConnect4(t *testing.T) {
 
 func TestSearchParallelRaceTicTacToe(t *testing.T) {
 	var pos TTT // empty board: draw under perfect play
-	r, err := engine.SearchParallel(context.Background(), pos, 9, 8)
+	r, err := engine.SearchParallel(context.Background(), pos, 9, engine.SearchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

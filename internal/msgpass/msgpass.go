@@ -111,6 +111,7 @@ type message struct {
 	v      tree.NodeID
 	val    int8
 	sentNs int64        // recorder timestamp at send; queue-residence timebase
+	from   int          // sending processor (-1: coordinator); set on network delivery
 	ctrl   *reassignCmd // payload of msgReassign, nil otherwise
 }
 
@@ -509,6 +510,16 @@ func (p *processor) handle(m message) {
 		p.onReassign(m.ctrl)
 		return
 	}
+	if tr := p.r.tr; tr != nil && m.from >= 0 && tr.dead[m.from].Load() {
+		// Fenced sender: a processor declared dead may still be running
+		// (stalled or falsely suspected). The recovery sweep re-derives
+		// what its messages carried, and a late one could replace a live
+		// invocation of the adopted cascade at its level. The flag is set
+		// before the reassignment is broadcast, so nothing the recovery
+		// causes is handled before it.
+		p.sh.MsgsStale.Add(1)
+		return
+	}
 	if m.typ != msgVal {
 		if p.r.reported[m.v].Load() {
 			// v's value is already out. On the perfect network the
@@ -542,9 +553,9 @@ func (p *processor) handle(m message) {
 	case msgPSolve:
 		p.startPSolve(m.v)
 	case msgPSolve2:
-		p.startPVariant(m.v, -1)
+		p.startPVariant(m.v, -1, m.sentNs)
 	case msgPSolve3:
-		p.startPVariant(m.v, 0)
+		p.startPVariant(m.v, 0, m.sentNs)
 	case msgVal:
 		p.handleVal(m.v, m.val)
 	}
@@ -576,19 +587,23 @@ func (p *processor) onReassign(c *reassignCmd) {
 		reassigned[l] = true
 	}
 	for level, ls := range p.levels {
-		if ls.p == nil || !reassigned[level+1] {
-			continue
+		if ls.p != nil && reassigned[level+1] {
+			p.reissue(level, ls.p)
 		}
-		st := ls.p
-		switch {
-		case st.lval < 0 && st.rval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.w})
-			p.send(level+1, message{typ: msgSSolve, v: st.x})
-		case st.lval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.w})
-		case st.lval == 0 && st.rval < 0:
-			p.send(level+1, message{typ: msgPSolve, v: st.x})
-		}
+	}
+}
+
+// reissue re-sends into level+1 the child invocations the P-invocation
+// st (at level) is still waiting on.
+func (p *processor) reissue(level int, st *pState) {
+	switch {
+	case st.lval < 0 && st.rval < 0:
+		p.send(level+1, message{typ: msgPSolve, v: st.w})
+		p.send(level+1, message{typ: msgSSolve, v: st.x})
+	case st.lval < 0:
+		p.send(level+1, message{typ: msgPSolve, v: st.w})
+	case st.lval == 0 && st.rval < 0:
+		p.send(level+1, message{typ: msgPSolve, v: st.x})
 	}
 }
 
@@ -623,7 +638,16 @@ func (p *processor) startPSolve(v tree.NodeID) {
 // and "P-SOLVE***(v)" (lval = 0: left child known to be 0). In both cases
 // v has already been expanded and the child invocations are already
 // running, so the processor only waits for value messages.
-func (p *processor) startPVariant(v tree.NodeID, lval int8) {
+//
+// Over a faulty network a dropped variant is retransmitted late, after
+// events it should precede:
+//   - A child's value (answered from the memo) arrived first, found no
+//     waiter and was discarded, so the memo is consulted here; values
+//     are memoized before they are sent, so none is missed.
+//   - The child level was reassigned after the variant was sent (sentNs),
+//     before this invocation existed for the recovery sweep to see, so
+//     the child invocations that died with the old owner are re-issued.
+func (p *processor) startPVariant(v tree.NodeID, lval int8, sentNs int64) {
 	t := p.r.t
 	nd := t.Node(v)
 	if nd.NumChildren == 0 {
@@ -634,9 +658,22 @@ func (p *processor) startPVariant(v tree.NodeID, lval int8) {
 		return
 	}
 	ls := p.state(t.Depth(v))
-	ls.p = &pState{v: v, w: nd.FirstChild, x: nd.FirstChild + 1, lval: lval, rval: -1}
+	st := &pState{v: v, w: nd.FirstChild, x: nd.FirstChild + 1, lval: lval, rval: -1}
+	ls.p = st
 	if ls.s != nil && ls.s.root == v {
 		ls.s = nil // the P-invocation owns the node now
+	}
+	tr := p.r.tr
+	if tr == nil {
+		return // the perfect network is FIFO: nothing can overtake
+	}
+	for _, c := range []tree.NodeID{st.w, st.x} {
+		if ls.p == st && p.r.reported[c].Load() {
+			p.handleVal(c, p.r.reportedVal(c))
+		}
+	}
+	if level := t.Depth(v); ls.p == st && tr.reassignedNs[level+1].Load() >= sentNs {
+		p.reissue(level, st)
 	}
 }
 

@@ -140,9 +140,18 @@ type transport struct {
 	// owner maps level -> current owning processor; rewritten by
 	// reassignment so retransmits follow the adoption.
 	owner    []atomic.Int32
-	lastBeat []atomic.Int64 // recorder time of last heartbeat/traffic per proc
+	lastBeat []atomic.Int64 // send stamp of the newest frame received from each proc
 	dead     []atomic.Bool  // declared dead (monotonic)
 	rootSeen atomic.Bool
+
+	// beatClock is the newest heartbeat emission stamp to arrive: the
+	// death detector's clock (protoLoop).
+	beatClock atomic.Int64
+
+	// reassignedNs maps level -> recorder time just after its latest
+	// reassignment, so a late message can tell whether the level changed
+	// owner after it was sent (startPVariant).
+	reassignedNs []atomic.Int64
 
 	// sh is shard np of the run's recorder: the protocol goroutine's own
 	// single-writer counter block (processors own shards 0..np-1).
@@ -169,6 +178,8 @@ func newTransport(r *run, net faultnet.Network, cfg ProtocolConfig, rec *telemet
 		dead:     make([]atomic.Bool, r.nprocs),
 		sh:       rec.Shard(r.nprocs),
 		done:     make(chan struct{}),
+
+		reassignedNs: make([]atomic.Int64, r.t.Height+1),
 	}
 	for l := range tr.owner {
 		tr.owner[l].Store(int32(l % tr.np))
@@ -181,6 +192,7 @@ func (tr *transport) start() {
 	for q := range tr.lastBeat {
 		tr.lastBeat[q].Store(now)
 	}
+	tr.beatClock.Store(now)
 	tr.net.Start(tr.onPacket)
 	tr.wg.Add(1)
 	go tr.protoLoop()
@@ -243,16 +255,18 @@ func (tr *transport) onPacket(pkt faultnet.Packet) {
 	}
 	switch f.kind {
 	case wireBeat:
-		tr.noteBeat(f.from)
+		tr.noteBeat(f.from, f.m.sentNs)
+		storeMax(&tr.beatClock, f.m.sentNs)
 	case wireAck:
-		tr.noteBeat(f.from)
+		tr.noteBeat(f.from, f.m.sentNs)
 		tr.mu.Lock()
 		delete(tr.pending, f.seq)
 		tr.mu.Unlock()
 	case wireData:
-		tr.noteBeat(f.from)
+		tr.noteBeat(f.from, f.m.sentNs)
 		// Ack every copy: the previous ack may itself have been lost.
-		tr.net.Send(faultnet.Packet{From: pkt.To, To: pkt.From, Payload: frame{kind: wireAck, seq: f.seq, from: pkt.To}})
+		ack := frame{kind: wireAck, seq: f.seq, from: pkt.To, m: message{sentNs: tr.r.rec.Now()}}
+		tr.net.Send(faultnet.Packet{From: pkt.To, To: pkt.From, Payload: ack})
 		tr.mu.Lock()
 		dup := tr.seen[f.seq]
 		if !dup {
@@ -274,13 +288,27 @@ func (tr *transport) onPacket(pkt faultnet.Packet) {
 			}
 			return
 		}
-		tr.r.procs[pkt.To].mb.send(f.m)
+		m := f.m
+		m.from = f.from
+		tr.r.procs[pkt.To].mb.send(m)
 	}
 }
 
-func (tr *transport) noteBeat(proc int) {
+// noteBeat records a frame from proc sent at sentNs (its sender's stamp,
+// not the arrival time) as evidence that proc was alive then.
+func (tr *transport) noteBeat(proc int, sentNs int64) {
 	if proc >= 0 && proc < tr.np {
-		tr.lastBeat[proc].Store(tr.r.rec.Now())
+		storeMax(&tr.lastBeat[proc], sentNs)
+	}
+}
+
+// storeMax raises a to v unless it already holds a later stamp.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -318,15 +346,24 @@ func (tr *transport) protoLoop() {
 				}
 				tr.stats.heartbeats.Add(1)
 				tr.sh.Heartbeats.Add(1)
-				tr.net.Send(faultnet.Packet{From: q, To: -1, Payload: frame{kind: wireBeat, from: q}})
+				tr.net.Send(faultnet.Packet{From: q, To: -1, Payload: frame{kind: wireBeat, from: q, m: message{sentNs: nowNs}}})
 			}
 		}
 
+		// Silence is the heartbeat clock (the newest emission stamp to
+		// arrive) minus the send stamp of the processor's newest arrived
+		// frame. On the wall clock, a starved host or backed-up transport
+		// reads as deaths, and a crashed processor's late-arriving last
+		// message can make every survivor look staler than it, leaving it
+		// the last, never-declared adopter of every level. Emission skips
+		// crashed and stalled processors, so they miss every round from
+		// then on.
+		clock := tr.beatClock.Load()
 		for q := 0; q < tr.np; q++ {
 			if tr.dead[q].Load() {
 				continue
 			}
-			if silence := nowNs - tr.lastBeat[q].Load(); silence > tr.cfg.DeadAfter.Nanoseconds() {
+			if silence := clock - tr.lastBeat[q].Load(); silence > tr.cfg.DeadAfter.Nanoseconds() {
 				tr.declareDead(q, silence)
 			}
 		}
@@ -401,6 +438,9 @@ func (tr *transport) declareDead(proc int, silenceNs int64) {
 	for l := range tr.owner {
 		if int(tr.owner[l].Load()) == proc {
 			tr.owner[l].Store(int32(adopter))
+			// Stamped after the owner switch: a message sent before this
+			// time may have routed its siblings to the dead owner.
+			tr.reassignedNs[l].Store(tr.r.rec.Now())
 			levels = append(levels, l)
 			if l == 0 {
 				hadRoot = true

@@ -36,9 +36,6 @@ type WorkerConfig struct {
 	// TableEntries sizes the local transposition table (0 disables it,
 	// which also disables the remote tier).
 	TableEntries int
-	// SplitHorizon and SpineOnly pass through to the search pool.
-	SplitHorizon int
-	SpineOnly    bool
 	// RemoteMinDepth gates the two-level table: probes and stores with
 	// remaining depth below it stay local (default 4).
 	RemoteMinDepth int
@@ -54,8 +51,9 @@ type WorkerConfig struct {
 	// so a coordinator can re-route to a worker restarted on a fresh port
 	// without a portfile round trip. Optional.
 	AdvertiseAddr string
-	// Telemetry records pool counters on shards 0..PoolWorkers-1 and the
-	// worker's remote-TT counters on shard PoolWorkers. Optional.
+	// Telemetry records the pool's counters and, on one more shard
+	// reserved after the pool's, the worker's remote-TT counters.
+	// Optional.
 	Telemetry *telemetry.Recorder
 	// Tracer records request-scoped spans (queue/compute/done-cache/
 	// remote-probe) for envelopes carrying a trace ID. Optional.
@@ -170,20 +168,14 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.TableEntries > 0 {
 		table = engine.NewTable(cfg.TableEntries)
 	}
-	pool := engine.NewPoolOpt(engine.SearchOptions{
-		Workers:      cfg.PoolWorkers,
-		Table:        table,
-		Telemetry:    cfg.Telemetry,
-		SplitHorizon: cfg.SplitHorizon,
-		SpineOnly:    cfg.SpineOnly,
-	}, 0)
+	pool := engine.NewPool(cfg.PoolWorkers, table, cfg.Telemetry)
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
 		cfg:         cfg,
 		ring:        NewRing(cfg.Workers),
 		table:       table,
 		pool:        pool,
-		tm:          cfg.Telemetry.Shard(pool.Workers()),
+		tm:          cfg.Telemetry.Shard(cfg.Telemetry.ReserveShards(1)),
 		tasks:       make(chan queuedTask, cfg.QueueLen),
 		boot:        randBoot(),
 		inflight:    make(map[uint64]uint64),

@@ -400,6 +400,23 @@ func (r *Recorder) Shard(i int) *Shard {
 	return r.shards[i]
 }
 
+// ReserveShards appends n fresh shards and returns the index of the first:
+// each caller gets a disjoint range, so several single-writer owners (the
+// engine's resident pools) can share one recorder. Nil-safe: returns 0
+// when the recorder is off.
+func (r *Recorder) ReserveShards(n int) int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	base := len(r.shards)
+	for i := 0; i < n; i++ {
+		r.shards = append(r.shards, new(Shard))
+	}
+	return base
+}
+
 // Snapshot sums the shards. Safe at any time (shards are single-writer,
 // reads are atomic); exact once the instrumented search has quiesced.
 func (r *Recorder) Snapshot() Snapshot {

@@ -49,6 +49,26 @@ func TestShardGrowthAndIdentity(t *testing.T) {
 	}
 }
 
+// TestReserveShards: each reservation gets the next disjoint range after
+// every shard already present; a nil recorder reserves nothing.
+func TestReserveShards(t *testing.T) {
+	var off *Recorder
+	if off.ReserveShards(4) != 0 {
+		t.Fatal("nil recorder must reserve at base 0")
+	}
+	r := NewRecorder()
+	if a, b := r.ReserveShards(2), r.ReserveShards(3); a != 0 || b != 2 {
+		t.Fatalf("bases %d, %d; want 0, 2", a, b)
+	}
+	r.Shard(6)
+	if c := r.ReserveShards(1); c != 7 {
+		t.Fatalf("reservation after Shard(6) at %d, want 7", c)
+	}
+	if got := len(r.Snapshot().PerWorker); got != 8 {
+		t.Fatalf("%d shards, want 8", got)
+	}
+}
+
 // TestSnapshotSumsShards: Snapshot.Total must be the exact field-wise sum
 // of the shards, except DequeMax which takes the max.
 func TestSnapshotSumsShards(t *testing.T) {
