@@ -64,14 +64,17 @@ bench-engine:
 # -checkbench gate (schema, pooled >= sequential on the split-dense
 # workload, single-worker telemetry sanity) and diffed by gtstat (latest
 # run vs the first; both ran on this machine, so >15% is a real
-# regression, not host noise). The Prometheus exposition of the
-# instrumented pass lands in /tmp/bench-smoke.prom.
+# regression, not host noise). The Prometheus exposition and the Chrome
+# span trace of the instrumented pass land in /tmp/bench-smoke.prom and
+# /tmp/bench-smoke-trace.json; the trace must parse and hold split spans.
 bench-smoke:
 	$(GO) test -bench='BenchmarkEnginePooled' -benchtime=1x -run='^$$' ./internal/engine/
 	rm -f /tmp/bench-smoke.json
 	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2
-	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2 -promout /tmp/bench-smoke.prom
+	$(GO) run ./cmd/gtbench -enginebench /tmp/bench-smoke.json -enginereps 2 -promout /tmp/bench-smoke.prom \
+		-telemetry /tmp/bench-smoke-trace.json
 	$(GO) run ./cmd/gtbench -checkbench /tmp/bench-smoke.json
+	python3 -c 'import json; e = json.load(open("/tmp/bench-smoke-trace.json"))["traceEvents"]; assert any(x.get("name") == "split" for x in e), "no split span"'
 	$(GO) run ./cmd/gtstat -threshold 0.15 /tmp/bench-smoke.json
 
 # Serving-layer smoke (CI gate): boot a race-built gtserve on an

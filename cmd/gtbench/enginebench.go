@@ -36,6 +36,7 @@ import (
 	"gametree/internal/benchfmt"
 	"gametree/internal/engine"
 	"gametree/internal/games"
+	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
 
@@ -140,7 +141,8 @@ func benchWorkload(workload string, plain, pos engine.Position, depth, reps int)
 // overhead. The recorder is Reset before each configuration so every
 // report stands alone; the last configuration's counters are left live
 // for the /metrics endpoint and -promout. When tracePath is non-empty
-// the 4-way tree run's split-point spans are written there as Chrome
+// a tracer rides the recorder for the 4-way tree run, and that search's
+// split, join, steal and abort spans are written there as Chrome
 // trace_event JSON (load via chrome://tracing or Perfetto).
 func collectTelemetry(rec *telemetry.Recorder, depth int, tracePath string, deepProbe bool) ([]benchfmt.TelemetryEntry, error) {
 	ctx := context.Background()
@@ -149,7 +151,11 @@ func collectTelemetry(rec *telemetry.Recorder, depth int, tracePath string, deep
 
 	run := func(workload, name string, workers int, pos engine.Position, d int, table *engine.Table) error {
 		rec.Reset()
-		if _, err := engine.SearchParallel(ctx, pos, d,
+		sctx := ctx
+		if rec.Tracer() != nil {
+			sctx = reqtrace.NewContext(ctx, reqtrace.MintID()) // one trace per search
+		}
+		if _, err := engine.SearchParallel(sctx, pos, d,
 			engine.SearchOptions{Table: table, Workers: workers, Telemetry: rec}); err != nil {
 			return fmt.Errorf("telemetry %s/%s(workers=%d): %w", workload, name, workers, err)
 		}
@@ -168,8 +174,10 @@ func collectTelemetry(rec *telemetry.Recorder, depth int, tracePath string, deep
 	if err := run("tree", "pooled", 1, (*engine.BenchTreeAppender)(tree), 8, nil); err != nil {
 		return nil, err
 	}
+	var tr *reqtrace.Tracer
 	if tracePath != "" {
-		rec.EnableTrace(0)
+		tr = reqtrace.New(0, "gtbench", 0, 1<<17)
+		rec.SetTracer(tr)
 	}
 	concurrency := 4
 	if maxWorkers > concurrency {
@@ -178,12 +186,15 @@ func collectTelemetry(rec *telemetry.Recorder, depth int, tracePath string, deep
 	if err := run("tree", "pooled", concurrency, (*engine.BenchTreeAppender)(tree), 8, nil); err != nil {
 		return nil, err
 	}
-	if tracePath != "" {
+	if tr != nil {
+		rec.SetTracer(nil) // only the 4-way tree run is traced
+		dump := tr.DumpState()
+		spans, base := reqtrace.Merge([]reqtrace.Dump{dump})
 		f, err := os.Create(tracePath)
 		if err != nil {
 			return nil, err
 		}
-		if err := rec.WriteTrace(f); err != nil {
+		if err := reqtrace.WriteChromeTrace(f, spans, base, reqtrace.MergeRoles([]reqtrace.Dump{dump})); err != nil {
 			f.Close()
 			return nil, err
 		}

@@ -74,10 +74,14 @@ type config struct {
 }
 
 // counters aggregates the run. Latency is recorded only for completed
-// (2xx) requests; the error rate counts everything else, shed included.
+// (2xx) requests; the error rate counts every other settled request,
+// shed included. Requests still in flight when the run window closes
+// are cut off, not failed: they count as inFlight and stay out of the
+// error rate.
 type counters struct {
 	issued    atomic.Int64
 	completed atomic.Int64
+	inFlight  atomic.Int64 // cut off by the end of the run window
 	shed429   atomic.Int64
 	shed503   atomic.Int64
 	timeout   atomic.Int64 // 504 or engine deadline
@@ -487,6 +491,10 @@ func one(ctx context.Context, cfg config, w *workload, is issuer, c *counters) {
 	t0 := time.Now()
 	out := is.issue(ctx, pos)
 	el := time.Since(t0)
+	if out.status != 200 && ctx.Err() != nil {
+		c.inFlight.Add(1) // cut off by the run deadline, not a server outcome
+		return
+	}
 	switch out.status {
 	case 200:
 		c.completed.Add(1)
@@ -509,11 +517,19 @@ func one(ctx context.Context, cfg config, w *workload, is issuer, c *counters) {
 	case 504:
 		c.timeout.Add(1)
 	default:
-		if ctx.Err() != nil {
-			return // cut off by the run deadline, not a server failure
-		}
 		c.failed.Add(1)
 	}
+}
+
+// errRate is the share of settled requests — all but those cut off by
+// the run window — that did not complete with a 200.
+func (c *counters) errRate() float64 {
+	errs := c.shed429.Load() + c.shed503.Load() + c.timeout.Load() + c.failed.Load()
+	settled := c.completed.Load() + errs
+	if settled == 0 {
+		return 0
+	}
+	return float64(errs) / float64(settled)
 }
 
 // report prints the summary and returns whether the run passes its own
@@ -532,9 +548,10 @@ func report(cfg config, c *counters, wall time.Duration) bool {
 	}
 	fmt.Printf("gtload: issued=%d completed=%d qps=%.1f p50=%s p99=%s\n",
 		issued, completed, qps, p50.Round(time.Microsecond), p99.Round(time.Microsecond))
-	fmt.Printf("gtload: shed_429=%d shed_503=%d timeout_504=%d failed=%d dropped=%d cached=%d coalesced=%d degraded=%d\n",
+	fmt.Printf("gtload: shed_429=%d shed_503=%d timeout_504=%d failed=%d dropped=%d cached=%d coalesced=%d degraded=%d in_flight=%d err_rate=%.4f\n",
 		c.shed429.Load(), c.shed503.Load(), c.timeout.Load(), c.failed.Load(),
-		c.dropped.Load(), c.cached.Load(), c.coalesced.Load(), c.degraded.Load())
+		c.dropped.Load(), c.cached.Load(), c.coalesced.Load(), c.degraded.Load(),
+		c.inFlight.Load(), c.errRate())
 
 	ok := true
 	if completed == 0 {
@@ -560,7 +577,6 @@ func report(cfg config, c *counters, wall time.Duration) bool {
 func writeRun(cfg config, c *counters, wall time.Duration) error {
 	snap := c.latency.Snapshot()
 	completed := c.completed.Load()
-	issued := c.issued.Load()
 	name := "search"
 	if cfg.solve {
 		name = "solve"
@@ -578,9 +594,7 @@ func writeRun(cfg config, c *counters, wall time.Duration) error {
 		item.P50Ns = snap.P50()
 		item.P99Ns = snap.P99()
 	}
-	if issued > 0 {
-		item.ErrRate = float64(issued-completed) / float64(issued)
-	}
+	item.ErrRate = c.errRate()
 	if completed > 0 {
 		item.NodesPerOp = float64(c.nodes.Load()) / float64(completed)
 		item.NodesPerSec = float64(c.nodes.Load()) / wall.Seconds()

@@ -8,9 +8,8 @@
 //	gtplay -game connect4 -selfplay       # engine vs engine
 //	gtplay -game connect4 -selfplay -telemetry trace.json
 //	                                      # + counters on exit, Chrome trace
-//	gtplay -game connect4 -selfplay -events events.jsonl
-//	                                      # + structured scheduler event log
-//	                                      # (replay: gttrace -events ...)
+//	                                      # of every move's split, join,
+//	                                      # steal and abort spans
 //	gtplay -pprof localhost:6060 ...      # live pprof/expvar//metrics while
 //	                                      # playing
 package main
@@ -32,6 +31,7 @@ import (
 
 	"gametree"
 	"gametree/internal/games"
+	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
 
@@ -42,7 +42,6 @@ func main() {
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
 		selfplay     = flag.Bool("selfplay", false, "engine plays both sides")
 		telemetryOut = flag.String("telemetry", "", "record search telemetry across the game; write a Chrome trace_event file here and print the counter report on exit")
-		eventsOut    = flag.String("events", "", "record scheduler events (split-open/join/abort/steal) across the game; write a JSONL log here on exit")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, expvar and Prometheus /metrics on this address (e.g. localhost:6060) while playing")
 	)
 	flag.Parse()
@@ -50,14 +49,11 @@ func main() {
 	// One recorder spans the whole game: every engine move accumulates
 	// into the same counters, so the exit report covers the session.
 	var rec *gametree.TelemetryRecorder
-	if *telemetryOut != "" || *eventsOut != "" || *pprofAddr != "" {
+	if *telemetryOut != "" || *pprofAddr != "" {
 		rec = gametree.NewTelemetryRecorder()
 	}
 	if *telemetryOut != "" {
-		rec.EnableTrace(0)
-	}
-	if *eventsOut != "" {
-		rec.EnableEvents(0)
+		rec.SetTracer(reqtrace.New(0, "gtplay", 0, traceSpans))
 	}
 	if *pprofAddr != "" {
 		expvar.Publish("gtplay_telemetry", expvar.Func(func() any {
@@ -90,58 +86,49 @@ func main() {
 	if err == nil && *telemetryOut != "" {
 		err = dumpTelemetry(rec, *telemetryOut)
 	}
-	if err == nil && *eventsOut != "" {
-		err = dumpEvents(rec, *eventsOut)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gtplay:", err)
 		os.Exit(1)
 	}
 }
 
-// dumpEvents writes the session's scheduler event log as JSONL, one
-// event per line (replayable with gttrace -events).
-func dumpEvents(rec *gametree.TelemetryRecorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// traceSpans bounds the -telemetry span ring (a depth-7 Connect-4 game
+// records about 3k spans); past it the oldest spans are overwritten and
+// counted in the "wrote trace" line.
+const traceSpans = 1 << 17
+
+// moveCtx is the context of one engine move: when the recorder carries
+// a tracer, the move gets its own trace ID, so its engine spans group as
+// one request in the trace.
+func moveCtx(rec *gametree.TelemetryRecorder) context.Context {
+	if rec.Tracer() == nil {
+		return context.Background()
 	}
-	if err := rec.WriteEvents(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	events, dropped := rec.Events()
-	if dropped > 0 {
-		fmt.Printf("wrote event log %s (%d events, %d dropped past the buffer cap)\n", path, len(events), dropped)
-	} else {
-		fmt.Printf("wrote event log %s (%d events)\n", path, len(events))
-	}
-	return nil
+	return reqtrace.NewContext(context.Background(), reqtrace.MintID())
 }
 
 // dumpTelemetry prints the session's counter report and writes the
-// recorded split-point spans as a Chrome trace_event file.
+// recorded engine spans as a Chrome trace_event file.
 func dumpTelemetry(rec *gametree.TelemetryRecorder, path string) error {
 	report, err := json.MarshalIndent(rec.Snapshot().Report(), "", "  ")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("telemetry: %s\n", report)
+	dump := rec.Tracer().DumpState()
+	spans, base := reqtrace.Merge([]reqtrace.Dump{dump})
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteTrace(f); err != nil {
+	if err := reqtrace.WriteChromeTrace(f, spans, base, reqtrace.MergeRoles([]reqtrace.Dump{dump})); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote trace %s\n", path)
+	fmt.Printf("wrote trace %s (%d spans, %d overwritten)\n", path, len(spans), dump.Dropped)
 	return nil
 }
 
@@ -158,7 +145,7 @@ func selfplayGame(start gametree.Position, workers int, rec *gametree.TelemetryR
 			fmt.Fprintf(out, "\nplayer to move has no moves after %d plies - they lose\n", moveNo-1)
 			return nil
 		}
-		r, err := gametree.SearchParallel(context.Background(), pos, 40,
+		r, err := gametree.SearchParallel(moveCtx(rec), pos, 40,
 			gametree.EngineOptions{Workers: workers, Telemetry: rec})
 		if err != nil {
 			return err
@@ -173,7 +160,7 @@ func selfplayGame(start gametree.Position, workers int, rec *gametree.TelemetryR
 
 func engineMove(pos gametree.Position, depth, workers int, rec *gametree.TelemetryRecorder, out *bufio.Writer) (int, error) {
 	start := time.Now()
-	r, err := gametree.SearchParallel(context.Background(), pos, depth,
+	r, err := gametree.SearchParallel(moveCtx(rec), pos, depth,
 		gametree.EngineOptions{Workers: workers, Telemetry: rec})
 	if err != nil {
 		return -1, err

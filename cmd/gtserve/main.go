@@ -146,6 +146,7 @@ func main() {
 func runSingle(o options) int {
 	rec := telemetry.NewRecorder()
 	tracer := reqtrace.New(0, "single", o.traceSample, 0)
+	rec.SetTracer(tracer) // traced requests also record their engine spans
 	rec.AddPromSection(telemetry.BuildInfoSection())
 	rec.AddPromSection(tracer.PromSection())
 	accessLog, closeLog, err := openAccessLog(o.accessLog)

@@ -218,6 +218,7 @@ func runWorker(o options) int {
 		return 1
 	}
 	tracer := reqtrace.New(o.shardProc, "worker", o.traceSample, 0)
+	rec.SetTracer(tracer) // traced tasks also record their engine spans
 	w := shard.NewWorker(shard.WorkerConfig{
 		Net:           tr,
 		Self:          o.shardProc,

@@ -7,9 +7,6 @@
 //
 //	gttrace -d 2 -n 5 -width 1 -instance worst
 //	gttrace -d 2 -n 6 -width 1 -instance iid -seed 7 -tree
-//	gttrace -events events.jsonl -eventtrace sched.json
-//	        # replay a gtplay/engine scheduler event log (JSONL) into a
-//	        # Chrome trace_event file (chrome://tracing, Perfetto)
 package main
 
 import (
@@ -21,7 +18,6 @@ import (
 
 	"gametree"
 	"gametree/internal/core"
-	"gametree/internal/telemetry"
 	"gametree/internal/trace"
 	"gametree/internal/tree"
 )
@@ -37,57 +33,12 @@ func main() {
 		showTree = flag.Bool("tree", false, "also print the tree with evaluated leaves marked")
 		maxCols  = flag.Int("cols", 120, "timeline column limit (0 = unlimited)")
 		frames   = flag.String("frames", "", "directory to write per-step Graphviz DOT frames")
-
-		eventsIn   = flag.String("events", "", "replay a scheduler event log (JSONL from gtplay -events) instead of tracing a SOLVE run")
-		eventTrace = flag.String("eventtrace", "", "with -events: write the replayed log as a Chrome trace_event file (default stdout)")
 	)
 	flag.Parse()
-	if *eventsIn != "" {
-		if err := replayEvents(*eventsIn, *eventTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "gttrace:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*d, *n, *width, *instance, *bias, *seed, *showTree, *maxCols, *frames); err != nil {
 		fmt.Fprintln(os.Stderr, "gttrace:", err)
 		os.Exit(1)
 	}
-}
-
-// replayEvents converts a JSONL scheduler event log into the Chrome
-// trace_event format, one instant event per log line on the emitting
-// worker's track — the same visual timeline as the engine's span trace,
-// reconstructed offline from the log alone.
-func replayEvents(inPath, outPath string) error {
-	in, err := os.Open(inPath)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	events, err := telemetry.ReadEvents(in)
-	if err != nil {
-		return err
-	}
-	out := io.WriteCloser(os.Stdout)
-	if outPath != "" {
-		if out, err = os.Create(outPath); err != nil {
-			return err
-		}
-	}
-	if err := telemetry.WriteEventTrace(out, events); err != nil {
-		if outPath != "" {
-			out.Close()
-		}
-		return err
-	}
-	if outPath != "" {
-		if err := out.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("replayed %d events from %s into %s\n", len(events), inPath, outPath)
-	}
-	return nil
 }
 
 func run(d, n, width int, instance string, bias float64, seed int64, showTree bool, maxCols int, frames string) error {

@@ -547,10 +547,12 @@ func SearchRootSplit(ctx context.Context, pos Position, depth, workers int) (Sea
 // Search telemetry (internal/telemetry)
 
 // TelemetryRecorder collects per-worker search counters (tasks, steals,
-// splits, aborts, transposition-table traffic) and, when tracing is
-// enabled, split-point lifetime spans writable as Chrome trace_event
-// JSON. Attach one via EngineOptions.Telemetry; a nil recorder means
-// telemetry off and costs the engine one branch per event.
+// splits, aborts, transposition-table traffic). With a request tracer
+// attached (SetTracer), searches whose ctx carries a trace ID also
+// record their split, join, steal and abort spans into it, writable as
+// Chrome trace_event JSON. Attach one via EngineOptions.Telemetry; a nil
+// recorder means telemetry off and costs the engine one branch per
+// event.
 type TelemetryRecorder = telemetry.Recorder
 
 // TelemetrySnapshot is a point-in-time view of a recorder's counters.
@@ -560,7 +562,7 @@ type TelemetrySnapshot = telemetry.Snapshot
 // steal efficiency, abort-drain latency, TT hit rate, load skew.
 type TelemetryReport = telemetry.Report
 
-// NewTelemetryRecorder returns an empty recorder with tracing off.
+// NewTelemetryRecorder returns an empty recorder with no tracer attached.
 func NewTelemetryRecorder() *TelemetryRecorder { return telemetry.NewRecorder() }
 
 // ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ type Item struct {
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// Serving-layer measurements (gtload / BENCH_serve.json rows only):
 	// completed-request throughput, latency quantiles over completed
-	// requests, and the fraction of requests that did not complete with
-	// 2xx (shed, timed out or failed).
+	// requests, and the fraction of settled requests that did not
+	// complete with 2xx (shed, timed out or failed; requests cut off by
+	// the end of the run window are not settled).
 	QPS     float64 `json:"qps,omitempty"`
 	P50Ns   float64 `json:"p50_ns,omitempty"`
 	P99Ns   float64 `json:"p99_ns,omitempty"`

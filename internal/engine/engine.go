@@ -89,9 +89,9 @@ type SearchOptions struct {
 	Table *Table
 	// Telemetry, when non-nil, attaches the search to a telemetry
 	// recorder: per-worker counters (tasks, steals, splits, aborts, TT
-	// traffic, deque depth) and — if the recorder has tracing enabled —
-	// split-point lifetime spans. Nil keeps the hot path uninstrumented
-	// (one nil-check branch per event).
+	// traffic, deque depth) and — if the recorder holds a tracer and ctx
+	// a trace ID — split, join, steal and abort spans. Nil keeps the hot
+	// path uninstrumented (one nil-check branch per event).
 	Telemetry *telemetry.Recorder
 }
 

@@ -27,10 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
 
@@ -90,9 +92,10 @@ type splitPoint struct {
 	bestIdx int
 
 	// Telemetry (nil/zero when the search is uninstrumented): the pool's
-	// recorder, the span-open timestamp, and the moment the beta cutoff
-	// was raised (read by the joining owner after pending drains — the
-	// seq-cst pending counter orders that read after the write).
+	// recorder, the wall-clock open time of a traced split (0 when the
+	// search is untraced), and the moment the beta cutoff was raised
+	// (read by the joining owner after pending drains — the seq-cst
+	// pending counter orders that read after the write).
 	rec    *telemetry.Recorder
 	openNs int64
 	cutNs  int64
@@ -256,6 +259,7 @@ type pool struct {
 	workers []*worker
 	cfg     poolConfig          // split-shaping knobs, fixed at construction
 	rec     *telemetry.Recorder // nil when the search is uninstrumented
+	row     int                 // telemetry shard of worker 0; worker i's span row is row+i
 	stop    atomic.Bool         // current search cancelled or a worker panicked
 	active  atomic.Bool         // a search is in flight; helpers spin, not park
 	closed  atomic.Bool         // pool shut down; helpers exit
@@ -266,6 +270,14 @@ type pool struct {
 
 	failMu  sync.Mutex
 	failure error // first recovered panic, wrapped in ErrSearchPanic
+
+	// The current search's span sink: the recorder's tracer and the trace
+	// ID of the search ctx, written by runSearch before any task exists
+	// (the deque atomics order every worker's read after the write). tr
+	// is nil when the recorder has no tracer or the ctx no trace ID, and
+	// that nil check is the one branch each span site pays.
+	tr    *reqtrace.Tracer
+	trace string
 }
 
 // fail records the first worker panic and aborts the search. Setting the
@@ -299,7 +311,7 @@ func newPool(workers int, table *Table, rec *telemetry.Recorder, shardBase int, 
 	if cfg.horizon <= 0 {
 		cfg.horizon = seqSplitDepth
 	}
-	p := &pool{workers: make([]*worker, workers), cfg: cfg, rec: rec}
+	p := &pool{workers: make([]*worker, workers), cfg: cfg, rec: rec, row: shardBase}
 	p.parkCond = sync.NewCond(&p.parkMu)
 	for i := range p.workers {
 		w := &worker{pool: p, id: i, rng: uint64(shardBase+i)*0x9e3779b97f4a7c15 + 1}
@@ -338,6 +350,12 @@ func (p *pool) runSearch(ctx context.Context, body func(w0 *worker) (int64, int)
 	p.failMu.Lock()
 	p.failure = nil
 	p.failMu.Unlock()
+	p.tr, p.trace = nil, ""
+	if tr := p.rec.Tracer(); tr != nil {
+		if id := reqtrace.FromContext(ctx); id != "" {
+			p.tr, p.trace = tr, id
+		}
+	}
 
 	var watchWG sync.WaitGroup
 	watch := make(chan struct{})
@@ -482,11 +500,8 @@ func (p *pool) trySteal(w *worker) *task {
 		if t != nil {
 			if w.tm != nil {
 				w.tm.Steals.Add(1)
-				if rec := p.rec; rec.EventsEnabled() {
-					rec.RecordEvent(telemetry.Event{
-						Ns: rec.Now(), Kind: telemetry.EventSteal,
-						Worker: w.id, Depth: t.depth,
-					})
+				if p.tr != nil {
+					w.span(reqtrace.StageSteal, time.Now().UnixNano(), 0, "")
 				}
 			}
 			return t
@@ -613,18 +628,26 @@ func (p *pool) fanout(ctx context.Context, fn func(w *worker)) error {
 // noteAbort accounts one aborted task: the plain counter, the nested-abort
 // counter when the cutoff came from an *ancestor* split (the chained abort
 // rule pre-empting a whole speculative subtree rather than a local
-// cutoff), and the structured event log. Only called when w.tm != nil.
+// cutoff), and an abort span when the search is traced. Only called when
+// w.tm != nil.
 func (w *worker) noteAbort(t *task) {
 	w.tm.Aborts.Add(1)
 	if sp := t.sp; !sp.abort.Load() && sp.aborted() {
 		w.tm.NestedAborts.Add(1)
 	}
-	if rec := w.pool.rec; rec.EventsEnabled() {
-		rec.RecordEvent(telemetry.Event{
-			Ns: rec.Now(), Kind: telemetry.EventAbort,
-			Worker: w.id, Depth: t.depth,
-		})
+	if w.pool.tr != nil {
+		w.span(reqtrace.StageAbort, time.Now().UnixNano(), 0, "")
 	}
+}
+
+// span records one engine span of the current (traced) search on this
+// worker's row. Callers check w.pool.tr != nil first.
+func (w *worker) span(stage string, startNs, durNs int64, note string) {
+	p := w.pool
+	p.tr.Record(reqtrace.Span{
+		Trace: p.trace, Stage: stage, StartNs: startNs, DurNs: durNs,
+		Worker: p.row + w.id, Note: note,
+	})
 }
 
 // join blocks the splitting worker on the split's counter by helping: pop
@@ -633,8 +656,8 @@ func (w *worker) noteAbort(t *task) {
 // will run it) or already running, so the loop terminates.
 func (w *worker) join(sp *splitPoint) {
 	var joinNs int64
-	if sp.rec.TraceEnabled() {
-		joinNs = sp.rec.Now()
+	if sp.openNs != 0 {
+		joinNs = time.Now().UnixNano()
 	}
 	for sp.pending.Load() > 0 {
 		if t := w.dq.pop(); t != nil {
@@ -651,25 +674,22 @@ func (w *worker) join(sp *splitPoint) {
 		return
 	}
 	// Drained. Record the cutoff-to-drain latency (if a beta cutoff was
-	// raised here) and the split's lifetime span.
+	// raised here) and, when traced, the split's lifetime with the
+	// join-to-drain wait nested inside it.
 	if w.tm != nil && sp.cutNs != 0 {
 		drainNs := sp.rec.Now() - sp.cutNs
 		w.tm.AbortDrains.Add(1)
 		w.tm.AbortDrainNs.Add(drainNs)
 		w.tm.Hist[telemetry.HistAbortDrainNs].Observe(drainNs)
 	}
-	if sp.rec.EventsEnabled() && len(sp.tasks) > 0 {
-		sp.rec.RecordEvent(telemetry.Event{
-			Ns: sp.rec.Now(), Kind: telemetry.EventJoin,
-			Worker: w.id, Depth: sp.tasks[0].depth, Tasks: len(sp.tasks),
-		})
-	}
 	if joinNs != 0 {
-		sp.rec.RecordSpan(telemetry.Span{
-			Worker: w.id, Name: "split",
-			Start: sp.openNs, Join: joinNs, End: sp.rec.Now(),
-			Tasks: len(sp.tasks), Aborted: sp.abort.Load(),
-		})
+		endNs := time.Now().UnixNano()
+		note := "tasks=" + strconv.Itoa(len(sp.tasks))
+		if sp.abort.Load() {
+			note += " aborted"
+		}
+		w.span(reqtrace.StageSplit, sp.openNs, endNs-sp.openNs, note)
+		w.span(reqtrace.StageJoin, joinNs, endNs-joinNs, "")
 	}
 }
 
@@ -694,8 +714,8 @@ func (w *worker) newSplit(up *splitPoint, alpha, beta, best int64, bestIdx int, 
 	sp.shared.Store(alpha)
 	sp.rec = w.pool.rec
 	sp.cutNs = 0
-	if sp.rec.TraceEnabled() {
-		sp.openNs = sp.rec.Now()
+	if w.pool.tr != nil {
+		sp.openNs = time.Now().UnixNano()
 	}
 	n := len(moves) - from
 	if cap(sp.tasks) < n {
@@ -717,12 +737,6 @@ func (w *worker) newSplit(up *splitPoint, alpha, beta, best int64, bestIdx int, 
 		// node itself sits one ply above.
 		w.tm.Hist[telemetry.HistSplitDepth].Observe(int64(depth) + 1)
 		w.tm.ObserveDeque(w.dq.bottom.Load() - w.dq.top.Load())
-		if sp.rec.EventsEnabled() {
-			sp.rec.RecordEvent(telemetry.Event{
-				Ns: sp.rec.Now(), Kind: telemetry.EventSplitOpen,
-				Worker: w.id, Depth: depth, Tasks: n,
-			})
-		}
 	}
 	return sp
 }

@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
 
@@ -214,30 +216,70 @@ func TestTelemetrySnapshotDuringSearch(t *testing.T) {
 	}
 }
 
-// TestTelemetryTracingSpans: with tracing enabled, every joined split
-// must leave a well-formed span (ordered timestamps, a real task count).
-func TestTelemetryTracingSpans(t *testing.T) {
-	tree := NewPessimalTree(6, 4, 0)
+// tracedSearch runs one pooled search on the pessimal tree at w=4 with
+// a tracer attached to the recorder and a trace ID in ctx, and returns
+// the recorded spans (asserting none were overwritten) with the
+// quiesced counters.
+func tracedSearch(t *testing.T, depth int, trace string) ([]reqtrace.Span, telemetry.Counts) {
+	t.Helper()
+	tree := NewPessimalTree(depth, 4, 0)
 	rec := telemetry.NewRecorder()
-	rec.EnableTrace(0)
-	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), 6,
-		SearchOptions{Workers: 2, Telemetry: rec}); err != nil {
+	tr := reqtrace.New(0, "engine", 0, 1<<18)
+	rec.SetTracer(tr)
+	ctx := reqtrace.NewContext(context.Background(), trace)
+	if _, err := SearchParallel(ctx, (*BenchTreeAppender)(tree), depth,
+		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
-	spans, dropped := rec.Spans()
+	spans, dropped := tr.Spans()
 	if dropped != 0 {
-		t.Fatalf("%d spans dropped below the default cap", dropped)
-	}
-	c := rec.Snapshot().Total
-	if int64(len(spans)) != c.Splits {
-		t.Fatalf("%d spans for %d splits", len(spans), c.Splits)
+		t.Fatalf("%d spans overwritten below the ring bound", dropped)
 	}
 	for i, s := range spans {
-		if s.Start > s.Join || s.Join > s.End {
-			t.Fatalf("span %d not ordered: %+v", i, s)
+		if s.Trace != trace {
+			t.Fatalf("span %d carries trace %q, want %q: %+v", i, s.Trace, trace, s)
 		}
-		if s.Tasks < 1 || s.Name != "split" {
+		if s.Worker < 0 || s.Worker >= 4 || s.DurNs < 0 {
 			t.Fatalf("span %d malformed: %+v", i, s)
+		}
+	}
+	return spans, rec.Snapshot().Total
+}
+
+// TestTelemetryTracingSpans: with a tracer attached, every joined split
+// leaves one split span and one join span under the search's trace ID,
+// the join nested inside its split on the same worker row.
+func TestTelemetryTracingSpans(t *testing.T) {
+	spans, c := tracedSearch(t, 6, "tr-spans")
+	stages := map[string]int64{}
+	perWorker := map[int][]reqtrace.Span{}
+	for _, s := range spans {
+		stages[s.Stage]++
+		if s.Stage == reqtrace.StageSplit || s.Stage == reqtrace.StageJoin {
+			perWorker[s.Worker] = append(perWorker[s.Worker], s)
+		}
+	}
+	if stages[reqtrace.StageSplit] != c.Splits || stages[reqtrace.StageJoin] != c.Splits {
+		t.Fatalf("%d split and %d join spans for %d splits",
+			stages[reqtrace.StageSplit], stages[reqtrace.StageJoin], c.Splits)
+	}
+	if c.Splits == 0 {
+		t.Fatal("pessimal tree opened no splits")
+	}
+	// A worker records a split and then its join back to back, so on
+	// each worker row the spans alternate split, join.
+	for w, ws := range perWorker {
+		for i := 0; i+1 < len(ws); i += 2 {
+			sp, jn := ws[i], ws[i+1]
+			if sp.Stage != reqtrace.StageSplit || jn.Stage != reqtrace.StageJoin {
+				t.Fatalf("worker %d: span %d/%d are %s/%s, want split/join", w, i, i+1, sp.Stage, jn.Stage)
+			}
+			if jn.StartNs < sp.StartNs || jn.StartNs+jn.DurNs != sp.StartNs+sp.DurNs {
+				t.Fatalf("worker %d: join %+v not inside split %+v", w, jn, sp)
+			}
+			if !strings.HasPrefix(sp.Note, "tasks=") || sp.Note == "tasks=0" {
+				t.Fatalf("worker %d: split note %q", w, sp.Note)
+			}
 		}
 	}
 }
@@ -320,63 +362,124 @@ func TestTelemetryHistograms(t *testing.T) {
 	}
 }
 
-// TestTelemetryEventLog: with the event log on, the scheduler events must
-// reconcile with the counters (splits = split-open events, steals = steal
-// events) and replay cleanly through the JSONL round trip.
+// TestTelemetryEventLog: the scheduler's decisions are spans of the
+// same trace — one zero-duration steal span per steal and abort span per
+// abort — and the whole record renders through the one Chrome writer,
+// with steals and aborts as instants on the engine worker rows.
 func TestTelemetryEventLog(t *testing.T) {
-	tree := NewPessimalTree(7, 4, 0)
-	rec := telemetry.NewRecorder()
-	rec.EnableEvents(0)
-	if _, err := SearchParallel(context.Background(), (*BenchTreeAppender)(tree), 7,
-		SearchOptions{Workers: 4, Telemetry: rec}); err != nil {
-		t.Fatal(err)
-	}
-	events, dropped := rec.Events()
-	if dropped != 0 {
-		t.Fatalf("%d events dropped below the default cap", dropped)
-	}
-	c := rec.Snapshot().Total
-	kinds := map[string]int64{}
-	for i, e := range events {
-		kinds[e.Kind]++
-		if e.Ns < 0 || e.Worker < 0 || e.Worker >= 4 {
-			t.Fatalf("event %d malformed: %+v", i, e)
+	spans, c := tracedSearch(t, 7, "tr-sched")
+	stages := map[string]int64{}
+	for i, s := range spans {
+		stages[s.Stage]++
+		if (s.Stage == reqtrace.StageSteal || s.Stage == reqtrace.StageAbort) && s.DurNs != 0 {
+			t.Fatalf("span %d: %s with duration %d", i, s.Stage, s.DurNs)
 		}
 	}
-	if kinds[telemetry.EventSplitOpen] != c.Splits {
-		t.Fatalf("%d split-open events for %d splits", kinds[telemetry.EventSplitOpen], c.Splits)
+	if stages[reqtrace.StageSplit] != c.Splits || stages[reqtrace.StageJoin] != c.Splits {
+		t.Fatalf("%d split and %d join spans for %d splits",
+			stages[reqtrace.StageSplit], stages[reqtrace.StageJoin], c.Splits)
 	}
-	if kinds[telemetry.EventJoin] != c.Splits {
-		t.Fatalf("%d join events for %d splits", kinds[telemetry.EventJoin], c.Splits)
+	if stages[reqtrace.StageSteal] != c.Steals {
+		t.Fatalf("%d steal spans for %d steals", stages[reqtrace.StageSteal], c.Steals)
 	}
-	if kinds[telemetry.EventSteal] != c.Steals {
-		t.Fatalf("%d steal events for %d steals", kinds[telemetry.EventSteal], c.Steals)
-	}
-	if kinds[telemetry.EventAbort] != c.Aborts {
-		t.Fatalf("%d abort events for %d aborts", kinds[telemetry.EventAbort], c.Aborts)
+	if stages[reqtrace.StageAbort] != c.Aborts {
+		t.Fatalf("%d abort spans for %d aborts", stages[reqtrace.StageAbort], c.Aborts)
 	}
 
-	// JSONL round trip and Chrome replay must both accept the log.
-	var jsonl strings.Builder
-	if err := rec.WriteEvents(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	back, err := telemetry.ReadEvents(strings.NewReader(jsonl.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(events) {
-		t.Fatalf("round trip lost events: %d vs %d", len(back), len(events))
-	}
+	merged, base := reqtrace.Merge([]reqtrace.Dump{{Spans: spans}})
 	var trace strings.Builder
-	if err := telemetry.WriteEventTrace(&trace, back); err != nil {
+	if err := reqtrace.WriteChromeTrace(&trace, merged, base, nil); err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(trace.String()), &doc); err != nil {
-		t.Fatalf("event trace is not valid JSON: %v", err)
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
 	}
-	if evs, ok := doc["traceEvents"].([]any); !ok || len(evs) != len(events) {
-		t.Fatalf("event trace has %v entries for %d events", doc["traceEvents"], len(events))
+	if err := json.Unmarshal([]byte(trace.String()), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	phases := map[string]int64{}
+	for _, e := range doc.TraceEvents {
+		phases[e.Name+"/"+e.Ph]++
+	}
+	if phases["steal/i"] != c.Steals || phases["abort/i"] != c.Aborts {
+		t.Fatalf("trace has %d steal and %d abort instants for %d steals and %d aborts",
+			phases["steal/i"], phases["abort/i"], c.Steals, c.Aborts)
+	}
+	if phases["split/X"] != c.Splits {
+		t.Fatalf("trace has %d split events for %d splits", phases["split/X"], c.Splits)
+	}
+}
+
+// TestTelemetryUntracedSearchAllocs extends the unsampled-path contract
+// of reqtrace to the engine: a resident pool whose recorder has a tracer
+// attached, searching under a ctx with no trace ID, allocates exactly as
+// much as one whose recorder has no tracer, and records no span.
+func TestTelemetryUntracedSearchAllocs(t *testing.T) {
+	tree := NewPessimalTree(6, 4, 0)
+	pos := (*BenchTreeAppender)(tree)
+	ctx := context.Background()
+	allocs := func(rec *telemetry.Recorder) float64 {
+		p := NewPool(1, nil, rec)
+		defer p.Close()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.Search(ctx, pos, 6); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain := allocs(telemetry.NewRecorder())
+	rec := telemetry.NewRecorder()
+	tr := reqtrace.New(0, "engine", 0, 64)
+	rec.SetTracer(tr)
+	traced := allocs(rec)
+	if traced != plain {
+		t.Errorf("untraced search with a tracer attached: %.1f allocs, %.1f without a tracer", traced, plain)
+	}
+	if spans, _ := tr.Spans(); len(spans) != 0 {
+		t.Errorf("untraced search recorded %d spans", len(spans))
+	}
+	t.Logf("allocs per search: %.1f", plain)
+}
+
+// TestTelemetryPoolTraceSwitch: a resident pool reads the trace ID per
+// search, so its helpers must see each search's ID, never a previous
+// one, and an untraced search in between records nothing. Run under
+// -race, this also orders the per-search span sink against the helpers.
+func TestTelemetryPoolTraceSwitch(t *testing.T) {
+	tree := NewPessimalTree(6, 4, 0)
+	pos := (*BenchTreeAppender)(tree)
+	rec := telemetry.NewRecorder()
+	tr := reqtrace.New(0, "engine", 0, 1<<18)
+	rec.SetTracer(tr)
+	p := NewPool(4, nil, rec)
+	defer p.Close()
+	for i := 0; i < 6; i++ {
+		before, _ := tr.Spans()
+		id := ""
+		if i%2 == 0 {
+			id = fmt.Sprintf("tr-%d", i)
+		}
+		if _, err := p.Search(reqtrace.NewContext(context.Background(), id), pos, 6); err != nil {
+			t.Fatal(err)
+		}
+		after, dropped := tr.Spans()
+		if dropped != 0 {
+			t.Fatalf("%d spans overwritten", dropped)
+		}
+		added := after[len(before):]
+		if id == "" && len(added) != 0 {
+			t.Fatalf("untraced search %d recorded %d spans", i, len(added))
+		}
+		if id != "" && len(added) == 0 {
+			t.Fatalf("traced search %d recorded no spans", i)
+		}
+		for _, s := range added {
+			if s.Trace != id {
+				t.Fatalf("search %d: span under %q, want %q", i, s.Trace, id)
+			}
+		}
 	}
 }

@@ -25,6 +25,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"sync/atomic"
@@ -167,3 +169,33 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 func (s HistSnapshot) P50() float64 { return s.Quantile(0.50) }
 func (s HistSnapshot) P95() float64 { return s.Quantile(0.95) }
 func (s HistSnapshot) P99() float64 { return s.Quantile(0.99) }
+
+// WriteProm writes s as the sample lines of one Prometheus histogram
+// series: cumulative `le` buckets ascending up to the highest populated
+// one (empty trailing buckets carry no information), the mandatory +Inf
+// bucket, then _sum and _count. label is "" for an unlabelled family or
+// one `key="value"` pair, which every sample line of the series carries.
+func (s HistSnapshot) WriteProm(w io.Writer, name, label string) error {
+	open, tag := "{", ""
+	if label != "" {
+		open, tag = "{"+label+",", "{"+label+"}"
+	}
+	hi := -1
+	for i, c := range s.Buckets {
+		if c > 0 {
+			hi = i
+		}
+	}
+	var cum int64
+	for i := 0; i <= hi; i++ {
+		cum += s.Buckets[i]
+		if _, err := fmt.Fprintf(w, "%s_bucket%sle=\"%d\"} %d\n", name, open, BucketUpper(i), cum); err != nil {
+			return err
+		}
+	}
+	if _, err := fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", name, open, s.Count); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n", name, tag, s.Sum, name, tag, s.Count)
+	return err
+}

@@ -68,14 +68,20 @@ func MergeRoles(dumps []Dump) map[int]string {
 	return roles
 }
 
+// engineRowBase offsets engine-worker rows (tid) past any shard task
+// id, inside the uint32 range trace viewers accept.
+const engineRowBase = 1 << 30
+
 // WriteChromeTrace emits merged spans in the Trace Event Format: one
 // process lane per ring process (pid = proc, named via process_name
 // metadata), tasks on their own rows (tid = task id) so concurrent RPC
-// and compute spans do not overdraw each other, and the trace ID in
-// every event's args for Perfetto's flow queries. Timestamps are
-// microseconds relative to base. roles labels each lane (see
-// MergeRoles); missing entries fall back to the ring convention
-// (proc 0 coordinates). Deterministic for a given span slice.
+// and compute spans do not overdraw each other, engine stages on one
+// named row per engine worker, and the trace ID in every event's args
+// for Perfetto's flow queries. Zero-duration spans (steals, aborts)
+// are instants. Timestamps are microseconds relative to base. roles
+// labels each lane (see MergeRoles); missing entries fall back to the
+// ring convention (proc 0 coordinates). Deterministic for a given span
+// slice. It is the repository's only trace_event writer.
 func WriteChromeTrace(w io.Writer, spans []Span, base int64, roles map[int]string) error {
 	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -97,35 +103,47 @@ func WriteChromeTrace(w io.Writer, spans []Span, base int64, roles map[int]strin
 		Name string         `json:"name"`
 		Ph   string         `json:"ph"`
 		Pid  int            `json:"pid"`
+		Tid  uint64         `json:"tid,omitempty"`
 		Args map[string]any `json:"args"`
 	}
-	seen := map[int]bool{}
+	type row struct {
+		proc int
+		tid  uint64
+	}
+	seen := map[row]bool{}
 	for _, s := range spans {
-		if seen[s.Proc] {
-			continue
-		}
-		seen[s.Proc] = true
-		role := roles[s.Proc]
-		if role == "" {
-			role = "worker"
-			if s.Proc == 0 {
-				role = "coordinator"
+		if !seen[row{s.Proc, 0}] {
+			seen[row{s.Proc, 0}] = true
+			role := roles[s.Proc]
+			if role == "" {
+				role = "worker"
+				if s.Proc == 0 {
+					role = "coordinator"
+				}
+			}
+			if err := emit(meta{Name: "process_name", Ph: "M", Pid: s.Proc,
+				Args: map[string]any{"name": fmt.Sprintf("%s (proc %d)", role, s.Proc)}}); err != nil {
+				return err
 			}
 		}
-		if err := emit(meta{Name: "process_name", Ph: "M", Pid: s.Proc,
-			Args: map[string]any{"name": fmt.Sprintf("%s (proc %d)", role, s.Proc)}}); err != nil {
-			return err
+		if tid := spanRow(s); engineStage(s.Stage) && !seen[row{s.Proc, tid}] {
+			seen[row{s.Proc, tid}] = true
+			if err := emit(meta{Name: "thread_name", Ph: "M", Pid: s.Proc, Tid: tid,
+				Args: map[string]any{"name": fmt.Sprintf("engine worker %d", s.Worker)}}); err != nil {
+				return err
+			}
 		}
 	}
 	type event struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Ph   string         `json:"ph"`
-		Pid  int            `json:"pid"`
-		Tid  uint64         `json:"tid"`
-		Ts   float64        `json:"ts"`
-		Dur  float64        `json:"dur"`
-		Args map[string]any `json:"args,omitempty"`
+		Name  string         `json:"name"`
+		Cat   string         `json:"cat"`
+		Ph    string         `json:"ph"`
+		Scope string         `json:"s,omitempty"`
+		Pid   int            `json:"pid"`
+		Tid   uint64         `json:"tid"`
+		Ts    float64        `json:"ts"`
+		Dur   float64        `json:"dur,omitempty"`
+		Args  map[string]any `json:"args,omitempty"`
 	}
 	for _, s := range spans {
 		args := map[string]any{"trace": s.Trace}
@@ -138,17 +156,30 @@ func WriteChromeTrace(w io.Writer, spans []Span, base int64, roles map[int]strin
 		if s.Note != "" {
 			args["note"] = s.Note
 		}
-		if err := emit(event{
+		e := event{
 			Name: s.Stage, Cat: "reqtrace", Ph: "X",
-			Pid: s.Proc, Tid: s.Task,
+			Pid: s.Proc, Tid: spanRow(s),
 			Ts: float64(s.StartNs-base) / 1e3, Dur: float64(s.DurNs) / 1e3,
 			Args: args,
-		}); err != nil {
+		}
+		if s.DurNs == 0 {
+			e.Ph, e.Scope = "i", "t"
+		}
+		if err := emit(e); err != nil {
 			return err
 		}
 	}
 	_, err := io.WriteString(w, "\n]}\n")
 	return err
+}
+
+// spanRow is the trace row (tid) of a span inside its process lane:
+// the shard task id, or the engine worker's row for engine stages.
+func spanRow(s Span) uint64 {
+	if engineStage(s.Stage) {
+		return engineRowBase + uint64(s.Worker)
+	}
+	return s.Task
 }
 
 // StageTotal is one stage's aggregate inside a request.

@@ -1,14 +1,16 @@
-// Package reqtrace is the request-scoped distributed tracing layer of
-// the serving tiers. Where internal/telemetry's spans describe one
-// process's scheduler (split points on worker tracks, recorder-epoch
-// monotonic time), reqtrace follows one *request* across the shard
-// ring: gtserve mints a trace ID per sampled request (or adopts an
+// Package reqtrace is the one span model of the repository: request-
+// scoped, wall-clock spans that follow one *request* across the shard
+// ring and down into the search engine's scheduler. gtserve mints a trace ID per sampled request (or adopts an
 // inbound X-GT-Trace header), the ID rides the serve context into the
 // shard coordinator, crosses the wire in every task envelope, survives
 // reissue to a ring successor, and stamps the worker's compute,
 // done-cache and remote-TT activity — so the question "where did this
 // request's 80ms go?" has a per-stage answer instead of a histogram
-// shrug.
+// shrug. When a telemetry.Recorder carries a Tracer (SetTracer), the
+// engine's pooled search reads the trace ID from its ctx and records
+// its split points, joins, steals and aborts as spans of the same
+// request, so one timeline runs from the HTTP accept down to the
+// worker's speculative siblings.
 //
 // Design points, in the spirit of the PR 2 telemetry layer:
 //
@@ -64,6 +66,10 @@ const (
 	StageReissue     = "reissue"      // coordinator: a stale task re-sent to a ring successor
 	StageRejoin      = "rejoin"       // coordinator: a worker admitted back; DurNs is the outage when one preceded
 	StageLocal       = "local"        // coordinator: a leaf computed on the fallback pool (degraded mode)
+	StageSplit       = "split"        // engine: one split point, siblings pushed to join drained
+	StageJoin        = "join"         // engine: the split owner helping until the join drains (inside its split)
+	StageSteal       = "steal"        // engine: a worker stole a speculative task (DurNs 0)
+	StageAbort       = "abort"        // engine: a speculative task skipped or pre-empted by a cutoff (DurNs 0)
 )
 
 // stageIndex maps a stage name onto its histogram slot. Unknown stages
@@ -73,6 +79,18 @@ var stageNames = [...]string{
 	StageRequest, StageQueue, StageSearch, StageExpand, StageRoute,
 	StageRPC, StageFold, StageCompute, StageDoneCache, StageRemoteProbe,
 	StageReissue, StageRejoin, StageLocal,
+	StageSplit, StageJoin, StageSteal, StageAbort,
+}
+
+// engineStage reports whether stage is recorded by the search engine's
+// scheduler rather than by the serving tiers. Engine spans carry the
+// engine worker in Span.Worker and are drawn on one row per worker.
+func engineStage(stage string) bool {
+	switch stage {
+	case StageSplit, StageJoin, StageSteal, StageAbort:
+		return true
+	}
+	return false
 }
 
 func stageIndex(stage string) int {
@@ -94,7 +112,7 @@ type Span struct {
 	StartNs int64  `json:"start_ns"`
 	DurNs   int64  `json:"dur_ns"`
 	Task    uint64 `json:"task,omitempty"`   // shard task id (rpc/compute/done-cache/reissue)
-	Worker  int    `json:"worker,omitempty"` // peer proc involved (rpc/reissue destination)
+	Worker  int    `json:"worker,omitempty"` // peer proc involved (rpc/reissue destination); engine stages: the engine worker
 	Note    string `json:"note,omitempty"`   // outcome detail: status, cache verdict, error
 }
 
@@ -121,9 +139,12 @@ type Dump struct {
 	Spans   []Span            `json:"spans"`
 }
 
-// defaultMaxSpans bounds the ring buffer; at ~10 spans per traced
-// request this keeps the last few hundred requests.
-const defaultMaxSpans = 1 << 13
+// defaultMaxSpans bounds the ring buffer. A traced request leaves ~10
+// serve and ring spans plus, where the recorder holds the tracer, tens
+// of engine spans per search (a traced 2-client shard-smoke burst fills
+// ~3k spans a second on a worker), so this keeps the last several
+// hundred requests.
+const defaultMaxSpans = 1 << 16
 
 // Tracer is one process's request-span recorder. Construct with New;
 // a nil *Tracer is "tracing off" and every method is a no-op.
@@ -307,38 +328,12 @@ func (t *Tracer) PromSection() func(io.Writer) error {
 			if snap.Count == 0 {
 				continue
 			}
-			if err := promLabelledHist(w, "gametree_shard_stage_ns", "stage", stage, snap); err != nil {
+			if err := snap.WriteProm(w, "gametree_shard_stage_ns", fmt.Sprintf("stage=%q", stage)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-}
-
-// promLabelledHist writes one labelled histogram series: ascending
-// cumulative le buckets up to the highest populated one, +Inf, _sum and
-// _count — the internal/telemetry exposition shape with a label pair.
-func promLabelledHist(w io.Writer, name, label, value string, s metrics.HistSnapshot) error {
-	hi := -1
-	for i, c := range s.Buckets {
-		if c > 0 {
-			hi = i
-		}
-	}
-	var cum int64
-	for i := 0; i <= hi; i++ {
-		cum += s.Buckets[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"%d\"} %d\n",
-			name, label, value, metrics.BucketUpper(i), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, s.Count); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum{%s=%q} %d\n%s_count{%s=%q} %d\n",
-		name, label, value, s.Sum, name, label, value, s.Count)
-	return err
 }
 
 // ctxKey carries the trace ID through a request's context chain.

@@ -298,3 +298,47 @@ func TestSpanWallClock(t *testing.T) {
 		t.Fatalf("span %+v not on the wall clock (before=%d)", spans, before)
 	}
 }
+
+// TestWriteChromeTraceGolden pins the exact trace_event bytes for a
+// request whose engine spans share its trace: the serve span on the
+// lane's task row, each engine worker on its own named row with the
+// join nested in its split, and a zero-duration steal as an instant.
+// The Chrome/Perfetto loaders are outside our tests, so the format is
+// frozen here.
+func TestWriteChromeTraceGolden(t *testing.T) {
+	spans := []Span{
+		{Trace: "t1", Stage: StageSearch, StartNs: 1000, DurNs: 9000},
+		{Trace: "t1", Stage: StageSplit, StartNs: 2000, DurNs: 3000, Note: "tasks=3"},
+		{Trace: "t1", Stage: StageJoin, StartNs: 2500, DurNs: 2500},
+		{Trace: "t1", Stage: StageSteal, StartNs: 3000, Worker: 1},
+	}
+	var sb strings.Builder
+	if err := WriteChromeTrace(&sb, spans, 1000, map[int]string{0: "single"}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"args":{"name":"single (proc 0)"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1073741824,"args":{"name":"engine worker 0"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1073741825,"args":{"name":"engine worker 1"}},
+{"name":"search","cat":"reqtrace","ph":"X","pid":0,"tid":0,"ts":0,"dur":9,"args":{"trace":"t1"}},
+{"name":"split","cat":"reqtrace","ph":"X","pid":0,"tid":1073741824,"ts":1,"dur":3,"args":{"note":"tasks=3","trace":"t1"}},
+{"name":"join","cat":"reqtrace","ph":"X","pid":0,"tid":1073741824,"ts":1.5,"dur":2.5,"args":{"trace":"t1"}},
+{"name":"steal","cat":"reqtrace","ph":"i","s":"t","pid":0,"tid":1073741825,"ts":2,"args":{"trace":"t1","worker":1}}
+]}
+`
+	if sb.String() != want {
+		t.Fatalf("trace output drifted:\ngot:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
+// TestWriteChromeTraceEmpty: no spans still yields a loadable document.
+func TestWriteChromeTraceEmpty(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteChromeTrace(&sb, nil, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatalf("empty trace not valid JSON: %v\n%s", err, sb.String())
+	}
+}

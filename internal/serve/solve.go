@@ -281,9 +281,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	call, leader := s.solves.join(key)
 	if !leader {
 		s.stats.coalesced.Add(1)
+		// A deadline-stopped leader settles with a 200 partial up to
+		// searchGrace after its own deadline; the joiner waits the same
+		// slack, so it gets that partial rather than a 504.
 		select {
 		case <-call.done:
-		case <-time.After(deadline):
+		case <-time.After(deadline + searchGrace):
 			s.stats.deadlineExceeded.Add(1)
 			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"deadline exceeded waiting for coalesced solve"})
 			return

@@ -252,7 +252,8 @@ func TestSolveCoalescing(t *testing.T) {
 	results := make(chan res, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "6,7,8,9"})
+			// A generous deadline: this tests coalescing, not the clock.
+			code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: "6,7,8,9", DeadlineMs: 20000})
 			results <- res{code, ok}
 		}()
 	}
@@ -275,4 +276,32 @@ func TestSolveCoalescing(t *testing.T) {
 		t.Fatalf("failed searches: %+v", s.Stats())
 	}
 	_ = coalesced // any split between coalesced/cached/leader is legal
+}
+
+// TestSolveJoinerGetsPartial: a joiner coalesced onto a solve that runs
+// out of its deadline gets the leader's 200 partial, never a 504 — even
+// when the joiner's own deadline is the shorter one, since the leader's
+// partial can land up to searchGrace after the leader's deadline.
+func TestSolveJoinerGetsPartial(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, Pools: 1})
+	pos := "11,12,13,14" // far beyond a 300 ms solve
+	leader := make(chan int, 1)
+	go func() {
+		code, ok, _ := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: pos, DeadlineMs: 300})
+		if code == http.StatusOK && !ok.Partial {
+			code = -1 // solved: the test position is too small
+		}
+		leader <- code
+	}()
+	waitFor(t, "leader admitted", func() bool { return s.Stats()["admitted"] == 1 })
+	code, joined, fail := postSolve(t, ts.URL, SolveRequest{Game: "nim", Position: pos, DeadlineMs: 250})
+	if code != http.StatusOK {
+		t.Fatalf("joiner: status %d (%+v), want the 200 partial", code, fail)
+	}
+	if !joined.Coalesced || !joined.Partial || joined.Verdict != "unknown" {
+		t.Fatalf("joiner: coalesced=%v partial=%v verdict=%q", joined.Coalesced, joined.Partial, joined.Verdict)
+	}
+	if code := <-leader; code != http.StatusOK {
+		t.Fatalf("leader: status %d, want the 200 partial", code)
+	}
 }

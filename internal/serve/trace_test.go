@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"gametree/internal/reqtrace"
+	"gametree/internal/telemetry"
 )
 
 // syncBuf is an io.Writer safe to read while the server writes.
@@ -81,6 +82,64 @@ func TestTraceHeaderAdopted(t *testing.T) {
 	waitFor(t, "search span", func() bool {
 		return len(tracerSpans(tr, "tr-serve-1", reqtrace.StageSearch)) == 1
 	})
+}
+
+// TestTraceEngineSpans: with the tracer attached to the recorder (as
+// gtserve does), a sampled request's engine split spans land in the same
+// dump as its request and search spans, under its trace ID and inside
+// its search span. serve.New alone attaches nothing: the same traced
+// request on a recorder without the tracer records no engine span.
+func TestTraceEngineSpans(t *testing.T) {
+	search := SearchRequest{Game: "random", Position: "42:6", Depth: 7}
+	traced := func(url, id string) {
+		t.Helper()
+		body, _ := json.Marshal(search)
+		req, _ := http.NewRequest(http.MethodPost, url+"/v1/search", bytes.NewReader(body))
+		req.Header.Set("X-GT-Trace", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+
+	rec := telemetry.NewRecorder()
+	tr := reqtrace.New(0, "single", 0, 1<<16)
+	rec.SetTracer(tr)
+	_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Telemetry: rec, Tracer: tr})
+	traced(ts.URL, "tr-engine")
+	waitFor(t, "search span", func() bool {
+		return len(tracerSpans(tr, "tr-engine", reqtrace.StageSearch)) == 1
+	})
+	if n := len(tracerSpans(tr, "tr-engine", reqtrace.StageRequest)); n != 1 {
+		t.Fatalf("request spans: got %d, want 1", n)
+	}
+	outer := tracerSpans(tr, "tr-engine", reqtrace.StageSearch)[0]
+	splits := tracerSpans(tr, "tr-engine", reqtrace.StageSplit)
+	if len(splits) == 0 {
+		t.Fatal("no engine split spans under the request's trace ID")
+	}
+	if joins := tracerSpans(tr, "tr-engine", reqtrace.StageJoin); len(joins) != len(splits) {
+		t.Fatalf("%d join spans for %d splits", len(joins), len(splits))
+	}
+	for _, sp := range splits {
+		if sp.StartNs < outer.StartNs || sp.StartNs+sp.DurNs > outer.StartNs+outer.DurNs {
+			t.Fatalf("split %+v outside search span %+v", sp, outer)
+		}
+	}
+
+	bare := reqtrace.New(0, "single", 0, 1<<16)
+	_, ts2 := newTestServer(t, Config{Workers: 2, Pools: 1, Telemetry: telemetry.NewRecorder(), Tracer: bare})
+	traced(ts2.URL, "tr-bare")
+	waitFor(t, "search span", func() bool {
+		return len(tracerSpans(bare, "tr-bare", reqtrace.StageSearch)) == 1
+	})
+	if n := len(tracerSpans(bare, "tr-bare", reqtrace.StageSplit)); n != 0 {
+		t.Fatalf("serve.New attached the tracer: %d split spans", n)
+	}
 }
 
 // TestTraceSampling: sample 1 mints an ID for headerless requests;

@@ -390,7 +390,9 @@ func (w *Worker) runTask(qt queuedTask) {
 	if err != nil {
 		res.Err = err.Error()
 	} else {
-		r, serr := w.pool.Search(w.ctx, pos, env.Depth)
+		// The task's trace ID rides the search ctx, so a pool whose
+		// recorder carries a tracer records its engine spans under it.
+		r, serr := w.pool.Search(reqtrace.NewContext(w.ctx, env.Trace), pos, env.Depth)
 		if serr != nil {
 			if w.ctx.Err() != nil {
 				return // closing: no result, coordinator reissues elsewhere

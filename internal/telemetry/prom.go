@@ -96,7 +96,7 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		if err := promHeader(w, name, HistHelp(h), "histogram"); err != nil {
 			return err
 		}
-		if err := promHistogram(w, name, s.Hist[h]); err != nil {
+		if err := s.Hist[h].WriteProm(w, name, ""); err != nil {
 			return err
 		}
 	}
@@ -107,33 +107,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 func promHeader(w io.Writer, name, help, typ string) error {
 	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	return err
-}
-
-// promHistogram writes the cumulative bucket series of one family:
-// ascending `le` bounds up to the highest populated bucket (empty
-// trailing buckets carry no information), then the mandatory +Inf bucket,
-// _sum and _count.
-func promHistogram(w io.Writer, name string, s metrics.HistSnapshot) error {
-	hi := -1
-	for i, c := range s.Buckets {
-		if c > 0 {
-			hi = i
-		}
-	}
-	var cum int64
-	for i := 0; i <= hi; i++ {
-		cum += s.Buckets[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, metrics.BucketUpper(i), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, s.Sum, name, s.Count); err != nil {
-		return err
-	}
-	return nil
 }
 
 // PromCounter writes one counter family: HELP/TYPE header plus a single
@@ -162,7 +135,7 @@ func PromHistogram(w io.Writer, name, help string, s metrics.HistSnapshot) error
 	if err := promHeader(w, name, help, "histogram"); err != nil {
 		return err
 	}
-	return promHistogram(w, name, s)
+	return s.WriteProm(w, name, "")
 }
 
 // AddPromSection registers an extra exposition section written after the

@@ -21,11 +21,12 @@
 //     queue residence), merged across shards at Snapshot and published
 //     as p50/p95/p99/max in Report and as Prometheus text by WriteProm
 //     (served at /metrics on the -pprof mux of gtbench and gtplay).
-//   - A Recorder bundles the shards with an optional span recorder for
-//     split-point lifetimes (open → join → drain), which WriteTrace can
-//     emit as Chrome trace_event JSON (chrome://tracing, Perfetto), and
-//     an optional bounded structured event log (events.go) written as
-//     JSONL and replayable into the same Chrome-trace path by gttrace.
+//   - A Recorder bundles the shards with an optional *reqtrace.Tracer
+//     (SetTracer). A pooled search on an instrumented recorder whose ctx
+//     carries a trace ID (reqtrace.NewContext) records its split points,
+//     joins, steals and aborts into that tracer as spans of the request,
+//     so reqtrace.WriteChromeTrace draws them on the same timeline as
+//     the serve and ring stages.
 //
 // A nil *Recorder is a valid "telemetry off" value: every method is
 // nil-receiver-safe, and the engine guards its increments with a single
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"gametree/internal/metrics"
+	"gametree/internal/reqtrace"
 )
 
 // Histogram indices into Shard.Hist. Each family keeps the distribution
@@ -329,55 +331,47 @@ type Snapshot struct {
 	Hist      [NumHists]metrics.HistSnapshot
 }
 
-// defaultMaxSpans bounds the span buffer so tracing a long search cannot
-// grow memory without limit; spans past the cap are counted, not stored.
-const defaultMaxSpans = 1 << 16
-
 // Recorder bundles the counter shards of one instrumented subsystem with
-// the optional span recorder. The zero value is not usable; construct
-// with NewRecorder. A nil *Recorder means "telemetry off" and every
-// method on it is a no-op.
+// the optional span tracer. The zero value is not usable; construct with
+// NewRecorder. A nil *Recorder means "telemetry off" and every method on
+// it is a no-op.
 type Recorder struct {
-	epoch    time.Time
-	tracing  atomic.Bool
-	eventsOn atomic.Bool
+	epoch  time.Time
+	tracer atomic.Pointer[reqtrace.Tracer]
 
-	mu            sync.Mutex
-	shards        []*Shard
-	spans         []Span
-	maxSpans      int
-	dropped       int64
-	events        []Event
-	maxEvents     int
-	droppedEvents int64
-	promSections  []func(io.Writer) error // extra /metrics families (AddPromSection)
+	mu           sync.Mutex
+	shards       []*Shard
+	promSections []func(io.Writer) error // extra /metrics families (AddPromSection)
 }
 
-// NewRecorder returns an empty recorder with tracing and the event log
-// off.
+// NewRecorder returns an empty recorder with no tracer attached.
 func NewRecorder() *Recorder {
-	return &Recorder{epoch: time.Now(), maxSpans: defaultMaxSpans, maxEvents: defaultMaxEvents}
+	return &Recorder{epoch: time.Now()}
 }
 
-// EnableTrace turns the span recorder on. maxSpans bounds the buffer
-// (<= 0 keeps the default); spans beyond the bound increment Dropped.
-func (r *Recorder) EnableTrace(maxSpans int) {
+// SetTracer attaches tr (nil detaches): searches instrumented by this
+// recorder then record engine spans into tr for every search whose ctx
+// carries a trace ID. Call it where a process owns both the recorder and
+// the tracer (the commands); library constructors leave it unset, so
+// tracing requests through them never adds engine spans on its own.
+// Nil-safe.
+func (r *Recorder) SetTracer(tr *reqtrace.Tracer) {
+	if r != nil {
+		r.tracer.Store(tr)
+	}
+}
+
+// Tracer returns the attached span tracer, nil when none is attached or
+// the recorder is nil.
+func (r *Recorder) Tracer() *reqtrace.Tracer {
 	if r == nil {
-		return
+		return nil
 	}
-	r.mu.Lock()
-	if maxSpans > 0 {
-		r.maxSpans = maxSpans
-	}
-	r.mu.Unlock()
-	r.tracing.Store(true)
+	return r.tracer.Load()
 }
-
-// TraceEnabled reports whether spans are being recorded. Nil-safe.
-func (r *Recorder) TraceEnabled() bool { return r != nil && r.tracing.Load() }
 
 // Now returns nanoseconds since the recorder's epoch (monotonic). It is
-// the timebase of spans and latency counters. Nil-safe: 0 when off.
+// the timebase of the latency counters. Nil-safe: 0 when off.
 func (r *Recorder) Now() int64 {
 	if r == nil {
 		return 0
@@ -437,9 +431,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	return snap
 }
 
-// Reset zeroes every counter and histogram and drops recorded spans and
-// events; the epoch and the tracing/event flags are kept. Call only at
-// quiesce points.
+// Reset zeroes every counter and histogram; the epoch and the attached
+// tracer are kept. Call only at quiesce points.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -449,10 +442,6 @@ func (r *Recorder) Reset() {
 	for _, s := range r.shards {
 		*s = Shard{}
 	}
-	r.spans = nil
-	r.dropped = 0
-	r.events = nil
-	r.droppedEvents = 0
 }
 
 // Report condenses a snapshot into the derived metrics the benchmarks and

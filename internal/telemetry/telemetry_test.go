@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"testing"
+
+	"gametree/internal/reqtrace"
 )
 
 // TestNilRecorderSafe: a nil *Recorder is the documented "telemetry off"
@@ -15,18 +17,26 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Now() != 0 {
 		t.Fatal("nil recorder Now() != 0")
 	}
-	if r.TraceEnabled() {
-		t.Fatal("nil recorder claims tracing")
-	}
-	r.EnableTrace(10)
-	r.RecordSpan(Span{})
 	r.Reset()
-	if spans, dropped := r.Spans(); spans != nil || dropped != 0 {
-		t.Fatalf("nil recorder has spans %v dropped %d", spans, dropped)
-	}
 	snap := r.Snapshot()
 	if len(snap.PerWorker) != 0 || snap.Total != (Counts{}) {
 		t.Fatalf("nil recorder snapshot not empty: %+v", snap)
+	}
+}
+
+// TestNilRecorderEvents: scheduler events (steal, abort, join) reach the
+// span buffer through the recorder's tracer. A nil recorder keeps no
+// tracer, and the nil tracer it hands out drops every event.
+func TestNilRecorderEvents(t *testing.T) {
+	var r *Recorder
+	r.SetTracer(reqtrace.New(0, "x", 1, 4))
+	tr := r.Tracer()
+	if tr != nil {
+		t.Fatal("nil recorder kept a tracer")
+	}
+	tr.Record(reqtrace.Span{Trace: "t1", Stage: reqtrace.StageSteal})
+	if spans, dropped := tr.Spans(); spans != nil || dropped != 0 {
+		t.Fatalf("nil recorder stored events: %v, %d dropped", spans, dropped)
 	}
 }
 
@@ -145,13 +155,13 @@ func TestReportDerivations(t *testing.T) {
 	}
 }
 
-// TestReset zeroes counters and spans but keeps the shard set and the
-// tracing flag.
+// TestReset zeroes counters but keeps the shard set and the attached
+// tracer.
 func TestReset(t *testing.T) {
 	r := NewRecorder()
-	r.EnableTrace(0)
+	tr := reqtrace.New(0, "x", 1, 4)
+	r.SetTracer(tr)
 	r.Shard(1).Tasks.Add(5)
-	r.RecordSpan(Span{Name: "split", End: 10})
 	r.Reset()
 	snap := r.Snapshot()
 	if len(snap.PerWorker) != 2 {
@@ -160,11 +170,8 @@ func TestReset(t *testing.T) {
 	if snap.Total.Tasks != 0 {
 		t.Fatalf("Reset kept counters: %+v", snap.Total)
 	}
-	if spans, _ := r.Spans(); len(spans) != 0 {
-		t.Fatalf("Reset kept %d spans", len(spans))
-	}
-	if !r.TraceEnabled() {
-		t.Fatal("Reset cleared the tracing flag")
+	if r.Tracer() != tr {
+		t.Fatal("Reset detached the tracer")
 	}
 }
 

@@ -14,7 +14,8 @@
 #     gtobs pulls the merged ring trace WHILE the burst is running; the
 #     merged view must contain spans from all three processes, at least
 #     one request must have left spans in the coordinator AND both
-#     workers, and the per-stage histograms must reach /metrics;
+#     workers, a worker must have recorded engine split spans under a
+#     burst trace ID, and the per-stage histograms must reach /metrics;
 #   - crash recovery: worker 2 is killed with SIGKILL in the middle of a
 #     burst; the burst must still complete with every value exact (the
 #     coordinator reissues orphaned tasks to the survivor), a fresh
@@ -159,6 +160,11 @@ grep -q '"name":"expand"' "$ART/ring.trace.json" \
     || { echo "shard_smoke: merged trace has no coordinator expand span"; exit 1; }
 grep -q '"name":"compute"' "$ART/ring.trace.json" \
     || { echo "shard_smoke: merged trace has no worker compute span"; exit 1; }
+# The workers' engine spans ride the same trace: a worker dump must hold
+# a split span under one of the burst's trace IDs.
+grep -Eq '"trace":"smoke-[0-9]+","proc":[0-9]+,"stage":"split"' \
+    "$ART/gttrace-worker1.json" "$ART/gttrace-worker2.json" \
+    || { echo "shard_smoke: no worker engine split span under a smoke- trace ID"; exit 1; }
 # Per-stage latency histograms feed /metrics on the coordinator.
 curl -fsS "$URL/metrics" >"$ART/coordinator-metrics-traced.prom"
 grep -q 'gametree_shard_stage_ns_bucket{stage="rpc"' "$ART/coordinator-metrics-traced.prom" \
