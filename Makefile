@@ -30,11 +30,12 @@ chaos:
 
 # Flake hunt over the fault-injection suites: every test of the packages
 # whose scenarios depend on scheduling (message-passing machine, fault
-# injector, shard ring) runs 20 times at GOMAXPROCS 1, 2 and 4, so a test
-# that races the clock on some core count fails here rather than by luck
-# on a new host. About 20 minutes on a 2-CPU host, most of it the shard
-# suite at GOMAXPROCS=1 (~10 minutes, hence the raised -timeout).
-FLAKE_PKGS = ./internal/msgpass/ ./internal/faultnet/ ./internal/shard/
+# injector, shard ring, serving layer) runs 20 times at GOMAXPROCS 1, 2
+# and 4, so a test that races the clock on some core count fails here
+# rather than by luck on a new host. About 20 minutes on a 2-CPU host,
+# most of it the shard suite at GOMAXPROCS=1 (~10 minutes, hence the
+# raised -timeout); the serving layer adds ~30 s per GOMAXPROCS value.
+FLAKE_PKGS = ./internal/msgpass/ ./internal/faultnet/ ./internal/shard/ ./internal/serve/
 flake:
 	@for p in 1 2 4; do \
 		echo "GOMAXPROCS=$$p"; \

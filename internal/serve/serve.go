@@ -1,15 +1,28 @@
 // Package serve is the resident search service behind cmd/gtserve: an
 // HTTP JSON layer that holds a set of resident engine pools over one
-// shared transposition table and multiplexes concurrent search requests
-// onto them.
+// shared transposition table and multiplexes concurrent requests onto
+// them. Two endpoints front the repo's two parallel evaluators: POST
+// /v1/search runs the pooled alpha-beta search, POST /v1/solve the
+// proof-number solver.
 //
-// Request path:
+// Both endpoints take one request path:
 //
-//	decode → admission check (503 while draining) → result cache →
-//	singleflight join (duplicates of an in-flight search wait for the
-//	leader) → bounded admission queue (429 + Retry-After when full) →
-//	acquire a resident pool → search under the request deadline →
-//	cache + respond
+//	open (trace, access record, POST, bounded decode, parse, drain
+//	gate: 503 while draining, deadline clamp) → result cache →
+//	singleflight join (duplicates of an in-flight request wait for the
+//	leader) → acquire (bounded admission queue: 429 + Retry-After when
+//	full; then a pool token under the deadline) → work on the pool,
+//	detached from the leader's connection → settle the flight → respond
+//	→ close (latency, request span, access-log line)
+//
+// Each endpoint supplies only its work function and its settle rule,
+// and keeps these differences as its own code: a search deadline is a
+// 504 while a solve deadline is a 200 partial (its tree parked for
+// resume); a search joiner waits its own deadline, a solve joiner
+// searchGrace longer so the leader's partial reaches it; a search is
+// cached when it succeeds, a solve only when it reached a verdict;
+// streamed solves skip coalescing and run attached to the client; and a
+// Backend deployment answers 501 on /v1/solve.
 //
 // The pools are built once at New and reused for every request — the
 // whole point of the engine's resident-pool refactor: a request costs a
@@ -23,7 +36,7 @@
 // Beyond that the server sheds immediately with 429 and a Retry-After
 // hint rather than queue without bound; during drain it sheds with 503.
 // Every admitted request gets a response — drain waits for in-flight
-// requests (cancelling their searches only if the drain grace expires,
+// requests (cancelling their work only if the drain grace expires,
 // which still produces 5xx responses, never dropped connections).
 package serve
 
@@ -40,6 +53,7 @@ import (
 	"time"
 
 	"gametree/internal/engine"
+	"gametree/internal/pns"
 	"gametree/internal/reqtrace"
 	"gametree/internal/telemetry"
 )
@@ -195,14 +209,16 @@ type Server struct {
 	table *engine.Table
 	free  chan *engine.Pool // resident pools not currently searching
 
-	queued  atomic.Int64 // leaders waiting for a pool
-	flights flightGroup
-	cache   *resultCache
-	stats   serveStats
+	queued atomic.Int64 // leaders waiting for a pool
+	stats  serveStats
 
-	solves     solveFlights // in-flight /v1/solve leaders
-	solveCache *solveCache  // completed solve verdicts
-	partials   *solverStore // parked partial solvers awaiting resume
+	// One cache and one flight group per endpoint, keyed by canonical
+	// position (plus depth for searches).
+	cache      *lru[engine.Result]
+	searches   flights[engine.Result]
+	solveCache *lru[solveOutcome]
+	solves     flights[solveOutcome]
+	partials   *lru[*pns.Solver] // parked partial solvers awaiting resume (checked out with take)
 
 	drainMu  sync.RWMutex // guards draining vs inflight.Add
 	draining bool
@@ -223,9 +239,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	s := &Server{cfg: cfg, start: time.Now()}
-	s.cache = newResultCache(cfg.CacheEntries)
-	s.solveCache = newSolveCache(cfg.CacheEntries)
-	s.partials = newSolverStore(cfg.SolveStoreEntries)
+	s.cache = newLRU[engine.Result](cfg.CacheEntries)
+	s.solveCache = newLRU[solveOutcome](cfg.CacheEntries)
+	s.partials = newLRU[*pns.Solver](cfg.SolveStoreEntries)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.free = make(chan *engine.Pool, cfg.Pools)
 	if cfg.Backend != nil {
@@ -262,49 +278,166 @@ func (s *Server) Table() *engine.Table { return s.table }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
-	start := time.Now()
+	var req SearchRequest
+	x := s.open(w, r, &req)
+	defer s.close(&x)
+	if !x.admitted {
+		return
+	}
+
+	key := x.posKey + "/d" + strconv.Itoa(req.Depth)
+	resp := SearchResponse{Game: req.Game, Position: keyPosition(x.posKey), Depth: req.Depth}
+	if res, ok := s.cache.get(key); ok {
+		s.stats.cacheHits.Add(1)
+		s.stats.completed.Add(1)
+		x.note("cache-hit")
+		resp.fill(res, x.start, 0)
+		resp.Cached = true
+		writeJSON(x.w, http.StatusOK, resp)
+		return
+	}
+	s.stats.cacheMisses.Add(1)
+
+	call, leader := s.searches.join(key)
+	if !leader {
+		// Coalesce: wait for the leader's search under this request's own
+		// deadline. The search itself keeps running on the leader's ctx —
+		// one slow joiner times out alone, it does not cancel the others.
+		s.stats.coalesced.Add(1)
+		x.note("coalesced")
+		if s.await(&x, call.done, r.Context().Done(), x.deadline, "deadline exceeded waiting for coalesced search") {
+			s.respondSearch(&x, resp, call, 0, true)
+		}
+		return
+	}
+	pos := x.pos
+	queueWait, settled := lead(s, &x, &s.searches, key, call, "search",
+		func(ctx context.Context, pool *engine.Pool) (engine.Result, error) {
+			// The degraded flag lets the backend mark an exact-but-degraded
+			// answer (coordinator-local compute on an empty worker ring); it
+			// is copied onto the flight before it settles so joiners see it.
+			ctx, degraded := WithDegraded(ctx)
+			var res engine.Result
+			var err error
+			if pool != nil {
+				res, err = pool.Search(ctx, pos, req.Depth)
+			} else {
+				res, err = s.cfg.Backend.Search(ctx, req.Game, req.Position, req.Depth)
+			}
+			if err == nil {
+				s.cache.put(key, res)
+			}
+			call.degraded = degraded.Get()
+			return res, err
+		})
+	if !settled {
+		return
+	}
+	if call.degraded {
+		x.note("degraded")
+	}
+	s.respondSearch(&x, resp, call, queueWait, false)
+}
+
+// respondSearch renders a settled search flight for one waiter (leader
+// or joiner).
+func (s *Server) respondSearch(x *exchange, resp SearchResponse, call *flight[engine.Result], queueWait time.Duration, coalesced bool) {
+	if call.err != nil {
+		s.fail(x.w, call.err, "search")
+		return
+	}
+	s.stats.completed.Add(1)
+	resp.fill(call.val, x.start, queueWait)
+	resp.Coalesced = coalesced
+	if call.degraded {
+		resp.Degraded = true
+		s.stats.degraded.Add(1)
+	}
+	writeJSON(x.w, http.StatusOK, resp)
+}
+
+func (r *SearchResponse) fill(res engine.Result, start time.Time, queueWait time.Duration) {
+	r.Value = res.Value
+	r.Best = res.Best
+	r.Nodes = res.Nodes
+	r.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
+	r.QueueMs = float64(queueWait.Nanoseconds()) / 1e6
+}
+
+// exchange is one request's pass through the pipeline: what the
+// prologue decoded and decided, and what the epilogue reports.
+type exchange struct {
+	w        http.ResponseWriter // the status-capturing wrapper when rec != nil
+	start    time.Time
+	trace    string        // "" = unsampled
+	rec      *accessRecord // nil unless traced or access-logged
+	pos      engine.Position
+	posKey   string
+	deadline time.Duration
+	admitted bool // passed the drain gate; the epilogue owes the inflight accounting
+}
+
+// wireRequest is a decoded request body as the prologue reads it.
+type wireRequest interface {
+	target() (game, position string, depth, deadlineMs int)
+}
+
+func (q *SearchRequest) target() (string, string, int, int) {
+	return q.Game, q.Position, q.Depth, q.DeadlineMs
+}
+
+// A solve has no depth; 0 passes the prologue's depth bound.
+func (q *SolveRequest) target() (string, string, int, int) {
+	return q.Game, q.Position, 0, q.DeadlineMs
+}
+
+// open is the prologue both endpoints share: trace selection and the
+// access record, the POST check, the bounded decode into req, the
+// position parse and depth bound, the drain gate and the deadline clamp.
+// When a step fails it answers the request itself and returns with
+// admitted false. The caller defers s.close on the result either way.
+func (s *Server) open(w http.ResponseWriter, r *http.Request, req wireRequest) exchange {
+	x := exchange{w: w, start: time.Now()}
 
 	// Trace selection: an inbound X-GT-Trace header is always honoured,
 	// otherwise the tracer's sampler picks 1-in-N. trace == "" means the
-	// request is unsampled and every recording site below no-ops on it —
-	// the unsampled path allocates nothing (no wrapper, no context node)
+	// request is unsampled and every recording site no-ops on it — the
+	// unsampled path allocates nothing (no wrapper, no context node)
 	// unless the access log needs the status anyway.
-	trace := r.Header.Get("X-GT-Trace")
-	if trace == "" && s.cfg.Tracer.SampleNext() {
-		trace = reqtrace.MintID()
+	x.trace = r.Header.Get("X-GT-Trace")
+	if x.trace == "" && s.cfg.Tracer.SampleNext() {
+		x.trace = reqtrace.MintID()
 	}
-	var rec *accessRecord
-	if trace != "" || s.cfg.AccessLog != nil {
+	if x.trace != "" || s.cfg.AccessLog != nil {
 		sw := &statusWriter{ResponseWriter: w}
-		w = sw
-		rec = &accessRecord{sw: sw, trace: trace}
-		if trace != "" {
-			w.Header().Set("X-GT-Trace", trace)
+		x.w = sw
+		x.rec = &accessRecord{sw: sw, trace: x.trace}
+		if x.trace != "" {
+			w.Header().Set("X-GT-Trace", x.trace)
 		}
-		defer s.finishRequest(rec, start)
 	}
 
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
-		return
+		writeJSON(x.w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		return x
 	}
-	var req SearchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-		return
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(req); err != nil {
+		writeJSON(x.w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
+		return x
 	}
-	pos, posKey, err := ParsePosition(req.Game, req.Position)
+	game, position, depth, deadlineMs := req.target()
+	pos, posKey, err := ParsePosition(game, position)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
+		writeJSON(x.w, http.StatusBadRequest, errorResponse{err.Error()})
+		return x
 	}
-	if req.Depth < 0 || req.Depth > s.cfg.MaxDepth {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{fmt.Sprintf("depth %d out of range [0, %d]", req.Depth, s.cfg.MaxDepth)})
-		return
+	if depth < 0 || depth > s.cfg.MaxDepth {
+		writeJSON(x.w, http.StatusBadRequest,
+			errorResponse{fmt.Sprintf("depth %d out of range [0, %d]", depth, s.cfg.MaxDepth)})
+		return x
 	}
-	if rec != nil {
-		rec.game, rec.pos, rec.depth = req.Game, keyPosition(posKey), req.Depth
+	if x.rec != nil {
+		x.rec.game, x.rec.pos, x.rec.depth = game, keyPosition(posKey), depth
 	}
 
 	// Admission gate: no new work once draining. The RLock pairs with
@@ -316,173 +449,189 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.drainMu.RUnlock()
 		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "draining")
-		return
+		s.shed(x.w, http.StatusServiceUnavailable, "draining")
+		return x
 	}
 	s.inflight.Add(1)
 	s.drainMu.RUnlock()
-	defer s.inflight.Done()
 	s.stats.inflight.Add(1)
-	defer s.stats.inflight.Add(-1)
-	defer func() { s.stats.latencyNs.Observe(time.Since(start).Nanoseconds()) }()
+	x.admitted = true
 
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
+	x.pos, x.posKey = pos, posKey
+	x.deadline = s.cfg.DefaultDeadline
+	if deadlineMs > 0 {
+		x.deadline = time.Duration(deadlineMs) * time.Millisecond
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
+	if x.deadline > s.cfg.MaxDeadline {
+		x.deadline = s.cfg.MaxDeadline
 	}
+	return x
+}
 
-	key := posKey + "/d" + strconv.Itoa(req.Depth)
-	resp := SearchResponse{Game: req.Game, Position: keyPosition(posKey), Depth: req.Depth}
-
-	if res, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		s.stats.completed.Add(1)
-		if rec != nil {
-			rec.outcome = "cache-hit"
-		}
-		resp.fill(res, start, 0)
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
-		return
+// close is the epilogue: the latency and inflight accounting of an
+// admitted request, then the request span and access-log line — written
+// before inflight.Done, so no line trails a finished Drain.
+func (s *Server) close(x *exchange) {
+	if x.admitted {
+		s.stats.latencyNs.Observe(time.Since(x.start).Nanoseconds())
+		s.stats.inflight.Add(-1)
 	}
-	s.stats.cacheMisses.Add(1)
-
-	call, leader := s.flights.join(key)
-	if !leader {
-		// Coalesce: wait for the leader's search under this request's own
-		// deadline. The search itself keeps running on the leader's ctx —
-		// one slow joiner times out alone, it does not cancel the others.
-		s.stats.coalesced.Add(1)
-		if rec != nil {
-			rec.outcome = "coalesced"
-		}
-		select {
-		case <-call.done:
-		case <-time.After(deadline):
-			s.stats.deadlineExceeded.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"deadline exceeded waiting for coalesced search"})
-			return
-		case <-s.baseCtx.Done():
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
-			return
-		case <-r.Context().Done():
-			return // client went away; nothing to answer
-		}
-		s.respondSettled(w, resp, call, start, 0, true)
-		return
+	if x.rec != nil {
+		s.finishRequest(x.rec, x.start)
 	}
-
-	// Leader path: bounded admission queue, then a resident pool.
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.rejectedQueue.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "admission queue full")
-		return
-	}
-	waitStart := time.Now()
-	var pool *engine.Pool
-	select {
-	case pool = <-s.free:
-	case <-time.After(deadline):
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.deadlineExceeded.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "deadline exceeded waiting for a pool")
-		return
-	case <-s.baseCtx.Done():
-		s.queued.Add(-1)
-		s.flights.finish(key, call, engine.Result{}, errOverloaded)
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	s.queued.Add(-1)
-	queueWait := time.Since(waitStart)
-	s.stats.queueWaitNs.Observe(queueWait.Nanoseconds())
-	s.stats.admitted.Add(1)
-	if rec != nil {
-		rec.outcome = "search"
-		rec.queueNs = queueWait.Nanoseconds()
-	}
-	if trace != "" {
-		s.cfg.Tracer.Record(reqtrace.Span{
-			Trace: trace, Stage: reqtrace.StageQueue,
-			StartNs: waitStart.UnixNano(), DurNs: queueWait.Nanoseconds(),
-		})
-	}
-
-	// The search runs detached, under the server's lifetime plus the
-	// remaining request budget — decoupled from the leader's connection,
-	// so a leader disconnect (or backstop timeout below) does not strand
-	// the coalesced joiners, and the pool is reclaimed by this goroutine
-	// no matter how the leader's response went.
-	budget := deadline - queueWait
-	sctx, cancel := context.WithTimeout(s.baseCtx, budget)
-	// The trace rides the search context into the backend (the shard
-	// coordinator reads it there); coalesced joiners see the leader's
-	// trace on the spans, which is where the work actually ran.
-	sctx = reqtrace.NewContext(sctx, trace)
-	// The degraded flag lets the backend mark an exact-but-degraded
-	// answer (coordinator-local compute on an empty worker ring); it is
-	// copied onto the flight before it settles so joiners see it too.
-	sctx, degradedFlag := WithDegraded(sctx)
-	go func() {
-		defer cancel()
-		var res engine.Result
-		var err error
-		searchStart := time.Now()
-		if pool != nil {
-			res, err = pool.Search(sctx, pos, req.Depth)
-		} else {
-			res, err = s.cfg.Backend.Search(sctx, req.Game, req.Position, req.Depth)
-		}
-		if trace != "" {
-			note := "ok"
-			if err != nil {
-				note = "err: " + err.Error()
-			}
-			s.cfg.Tracer.Record(reqtrace.Span{
-				Trace: trace, Stage: reqtrace.StageSearch,
-				StartNs: searchStart.UnixNano(), DurNs: time.Since(searchStart).Nanoseconds(),
-				Note: note,
-			})
-		}
-		s.free <- pool
-		if err == nil {
-			s.cache.put(key, res)
-		}
-		call.degraded = degradedFlag.Get() // before finish: done's close publishes it
-		s.flights.finish(key, call, res, err)
-	}()
-	select {
-	case <-call.done:
-		if call.degraded && rec != nil {
-			rec.outcome = "degraded"
-		}
-		s.respondSettled(w, resp, call, start, queueWait, false)
-	case <-time.After(budget + searchGrace):
-		// The search did not return even after its ctx expired: it is
-		// stuck in Position code that never polls (user-provided games
-		// can do that). Answer 504 and abandon it — the goroutine above
-		// settles the flight and reclaims the pool if it ever surfaces.
-		s.stats.deadlineExceeded.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"search deadline exceeded"})
-	case <-s.baseCtx.Done():
-		// Hard shutdown: the search ctx is cancelled with the base ctx;
-		// answer now rather than racing its unwind.
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
+	if x.admitted {
+		s.inflight.Done()
 	}
 }
 
-// searchGrace is the slack between a search ctx expiring and the leader
-// giving up on the search returning at all (see the backstop above).
+// note records the request's outcome for its span and access-log line.
+func (x *exchange) note(outcome string) {
+	if x.rec != nil {
+		x.rec.outcome = outcome
+	}
+}
+
+// acquire takes an admission-queue slot and waits for a pool token
+// under the request deadline, the server's lifetime and client (nil for
+// detached leaders; a stream's connection). On success it records the
+// queue wait; otherwise it has answered the request (429, 503, or
+// nothing for a departed client) and returns ok false.
+func (s *Server) acquire(x *exchange, client <-chan struct{}) (pool *engine.Pool, queueWait time.Duration, ok bool) {
+	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+		s.queued.Add(-1)
+		s.stats.rejectedQueue.Add(1)
+		s.shed(x.w, http.StatusTooManyRequests, "admission queue full")
+		return nil, 0, false
+	}
+	defer s.queued.Add(-1)
+	waitStart := time.Now()
+	select {
+	case pool = <-s.free:
+	case <-time.After(x.deadline):
+		s.stats.deadlineExceeded.Add(1)
+		s.shed(x.w, http.StatusServiceUnavailable, "deadline exceeded waiting for a pool")
+		return nil, 0, false
+	case <-s.baseCtx.Done():
+		s.stats.rejectedDraining.Add(1)
+		s.shed(x.w, http.StatusServiceUnavailable, "shutting down")
+		return nil, 0, false
+	case <-client:
+		return nil, 0, false
+	}
+	queueWait = time.Since(waitStart)
+	s.stats.queueWaitNs.Observe(queueWait.Nanoseconds())
+	s.stats.admitted.Add(1)
+	x.note("search")
+	if x.rec != nil {
+		x.rec.queueNs = queueWait.Nanoseconds()
+	}
+	if x.trace != "" {
+		s.cfg.Tracer.Record(reqtrace.Span{
+			Trace: x.trace, Stage: reqtrace.StageQueue,
+			StartNs: waitStart.UnixNano(), DurNs: queueWait.Nanoseconds(),
+		})
+	}
+	return pool, queueWait, true
+}
+
+// lead is a coalesced request's leader half: acquire a pool, run work
+// on it detached, settle the flight with work's value, and wait for the
+// flight. settled false means the request is already answered — shed
+// before a pool (the flight settles with errOverloaded, which joiners
+// turn into 429), or the settle backstop fired.
+//
+// The work runs under the server's lifetime plus the remaining request
+// budget — decoupled from the leader's connection, so a leader
+// disconnect (or the backstop) does not strand the joiners, and the
+// pool is reclaimed by the work goroutine no matter how the leader's
+// response went. The trace rides the context into the backend (the
+// shard coordinator reads it there); joiners see the leader's trace on
+// the spans, which is where the work actually ran.
+func lead[V any](s *Server, x *exchange, g *flights[V], key string, call *flight[V], noun string,
+	work func(ctx context.Context, pool *engine.Pool) (V, error)) (queueWait time.Duration, settled bool) {
+	pool, queueWait, ok := s.acquire(x, nil)
+	if !ok {
+		var zero V
+		g.finish(key, call, zero, errOverloaded)
+		return 0, false
+	}
+	trace := x.trace
+	budget := x.deadline - queueWait
+	ctx, cancel := context.WithTimeout(s.baseCtx, budget)
+	ctx = reqtrace.NewContext(ctx, trace)
+	go func() {
+		defer cancel()
+		start := time.Now()
+		v, err := work(ctx, pool)
+		s.recordWork(trace, start, err)
+		s.free <- pool
+		g.finish(key, call, v, err)
+	}()
+	// The backstop fires only if the work did not return even after its
+	// ctx expired: it is stuck in Position code that never polls
+	// (user-provided games can do that). The goroutine above settles the
+	// flight and reclaims the pool if it ever surfaces.
+	return queueWait, s.await(x, call.done, nil, budget+searchGrace, noun+" deadline exceeded")
+}
+
+// searchGrace is the slack between a work ctx expiring and the leader
+// giving up on the work returning at all (see lead).
 const searchGrace = 250 * time.Millisecond
+
+// await waits for done and reports true when it closes. Otherwise it
+// answers the request itself and reports false: 504 with timeoutMsg
+// once wait passes, 503 on hard shutdown, nothing once client is gone
+// (nil for leaders, whose detached work outlives their connection).
+func (s *Server) await(x *exchange, done, client <-chan struct{}, wait time.Duration, timeoutMsg string) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(wait):
+		s.stats.deadlineExceeded.Add(1)
+		writeJSON(x.w, http.StatusGatewayTimeout, errorResponse{timeoutMsg})
+	case <-s.baseCtx.Done():
+		s.stats.rejectedDraining.Add(1)
+		s.shed(x.w, http.StatusServiceUnavailable, "cancelled by shutdown")
+	case <-client:
+	}
+	return false
+}
+
+// fail answers a flight's error: 429 for a leader shed before its pool,
+// 504 on deadline, 503 on shutdown, 500 otherwise.
+func (s *Server) fail(w http.ResponseWriter, err error, noun string) {
+	switch {
+	case errors.Is(err, errOverloaded):
+		s.stats.rejectedQueue.Add(1)
+		s.shed(w, http.StatusTooManyRequests, "coalesced leader was shed")
+	case errors.Is(err, context.DeadlineExceeded):
+		s.stats.deadlineExceeded.Add(1)
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{noun + " deadline exceeded"})
+	case errors.Is(err, engine.ErrCancelled), errors.Is(err, engine.ErrPoolClosed):
+		s.stats.rejectedDraining.Add(1)
+		s.shed(w, http.StatusServiceUnavailable, noun+" cancelled by shutdown")
+	default:
+		s.stats.failed.Add(1)
+		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+	}
+}
+
+// recordWork records the search-stage span of a traced request: the
+// pool (or backend) work, whichever endpoint it served.
+func (s *Server) recordWork(trace string, start time.Time, err error) {
+	if trace == "" {
+		return
+	}
+	note := "ok"
+	if err != nil {
+		note = "err: " + err.Error()
+	}
+	s.cfg.Tracer.Record(reqtrace.Span{
+		Trace: trace, Stage: reqtrace.StageSearch,
+		StartNs: start.UnixNano(), DurNs: time.Since(start).Nanoseconds(),
+		Note: note,
+	})
+}
 
 // statusWriter captures the response status once so the request span
 // and access log can report it without touching every write site.
@@ -498,6 +647,13 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// Flush keeps a traced solve stream's frames flowing.
+func (sw *statusWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // accessRecord accumulates one request's identity and outcome as the
 // handler learns them; finishRequest turns it into the request span and
 // the access-log line. Only allocated for traced or logged requests.
@@ -507,7 +663,7 @@ type accessRecord struct {
 	game    string
 	pos     string
 	depth   int
-	outcome string // cache-hit | coalesced | search | degraded | "" (failed before admission)
+	outcome string // cache-hit | coalesced | search (ran on a pool) | degraded | "" (failed before admission)
 	queueNs int64
 }
 
@@ -563,44 +719,6 @@ func (s *Server) finishRequest(rec *accessRecord, start time.Time) {
 	s.accessMu.Lock()
 	_, _ = s.cfg.AccessLog.Write(b)
 	s.accessMu.Unlock()
-}
-
-// respondSettled renders a settled flight for one waiter (leader or
-// joiner).
-func (s *Server) respondSettled(w http.ResponseWriter, resp SearchResponse, call *flightCall, start time.Time, queueWait time.Duration, coalesced bool) {
-	if err := call.err; err != nil {
-		switch {
-		case errors.Is(err, errOverloaded):
-			s.stats.rejectedQueue.Add(1)
-			s.shed(w, http.StatusTooManyRequests, "coalesced leader was shed")
-		case errors.Is(err, context.DeadlineExceeded):
-			s.stats.deadlineExceeded.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"search deadline exceeded"})
-		case errors.Is(err, engine.ErrCancelled), errors.Is(err, engine.ErrPoolClosed):
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "search cancelled by shutdown")
-		default:
-			s.stats.failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		}
-		return
-	}
-	s.stats.completed.Add(1)
-	resp.fill(call.res, start, queueWait)
-	resp.Coalesced = coalesced
-	if call.degraded {
-		resp.Degraded = true
-		s.stats.degraded.Add(1)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (r *SearchResponse) fill(res engine.Result, start time.Time, queueWait time.Duration) {
-	r.Value = res.Value
-	r.Best = res.Best
-	r.Nodes = res.Nodes
-	r.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	r.QueueMs = float64(queueWait.Nanoseconds()) / 1e6
 }
 
 // keyPosition strips the "<game>|" prefix off a position key, recovering

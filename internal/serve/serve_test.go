@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,7 +50,15 @@ func (r *blockRegistry) gate(id uint64) chan struct{} {
 	return r.gates[id]
 }
 
-func (r *blockRegistry) release(id uint64) { close(r.gate(id)) }
+// release opens gate id and forgets it, so the next request for id —
+// the same test run again under -count — blocks on a fresh gate.
+func (r *blockRegistry) release(id uint64) {
+	g := r.gate(id)
+	r.mu.Lock()
+	delete(r.gates, id)
+	r.mu.Unlock()
+	close(g)
+}
 
 func init() {
 	// The "block" game: position string is a decimal id; every search of
@@ -110,6 +119,47 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// postJSON posts req to url and returns the status, headers and the
+// whole body (for a solve stream, every frame).
+func postJSON(t *testing.T, url string, req any) (int, http.Header, []byte) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return 0, nil, nil
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp.StatusCode, resp.Header, out
+}
+
+// endpoint is one request-path variant the admission tests drive.
+type endpoint struct {
+	name, path string
+	stream     bool
+}
+
+var endpoints = []endpoint{
+	{"search", "/v1/search", false},
+	{"solve", "/v1/solve", false},
+	{"solve-stream", "/v1/solve", true},
+}
+
+// post sends one request for a game position under a deadline (0 = the
+// server default).
+func (ep endpoint) post(t *testing.T, url, game, position string, deadlineMs int) (int, http.Header) {
+	req := map[string]any{"game": game, "position": position, "deadline_ms": deadlineMs}
+	if ep.stream {
+		req["stream"] = true
+	}
+	code, hdr, _ := postJSON(t, url+ep.path, req)
+	return code, hdr
 }
 
 func TestSearchTTTExactValue(t *testing.T) {
@@ -220,16 +270,20 @@ func TestOverloadShedsWith429(t *testing.T) {
 		}
 	}()
 	waitFor(t, "queue occupied", func() bool { return s.queued.Load() == 1 })
-	// The third distinct leader must be shed immediately with 429.
-	code, _, _, hdr := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "2003", Depth: 0, DeadlineMs: 5000})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-	if s.Stats()["rejected_queue"] == 0 {
-		t.Error("rejected_queue counter not bumped")
+	// A third distinct leader, on either endpoint, must be shed
+	// immediately with 429.
+	for i, ep := range endpoints {
+		before := s.Stats()["rejected_queue"]
+		code, hdr := ep.post(t, ts.URL, "block", fmt.Sprint(2003+i), 5000)
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429", ep.name, code)
+		}
+		if hdr.Get("Retry-After") == "" {
+			t.Errorf("%s: 429 without Retry-After", ep.name)
+		}
+		if s.Stats()["rejected_queue"] == before {
+			t.Errorf("%s: rejected_queue counter not bumped", ep.name)
+		}
 	}
 	testGates.release(2001)
 	testGates.release(2002)
@@ -254,51 +308,71 @@ func TestRequestDeadline504(t *testing.T) {
 	if s.Stats()["deadline_exceeded"] == 0 {
 		t.Error("deadline_exceeded counter not bumped")
 	}
+	// The abandoned search still holds the only pool, so a request on
+	// either endpoint spends its deadline waiting for one: 503.
+	for i, ep := range endpoints {
+		before := s.Stats()["deadline_exceeded"]
+		if code, _ := ep.post(t, ts.URL, "block", fmt.Sprint(3002+i), 50); code != http.StatusServiceUnavailable {
+			t.Errorf("%s: pool wait past the deadline: status %d, want 503", ep.name, code)
+		}
+		if s.Stats()["deadline_exceeded"] == before {
+			t.Errorf("%s: deadline_exceeded counter not bumped", ep.name)
+		}
+	}
 	testGates.release(3001) // unblock the abandoned search so Drain can finish
 }
 
 func TestDrainAnswersInflightAndShedsNew(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
-	inflight := make(chan int, 1)
-	go func() {
-		code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "4001", Depth: 0, DeadlineMs: 5000})
-		inflight <- code
-	}()
-	waitFor(t, "search in flight", func() bool { return s.Stats()["admitted"] == 1 })
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		drained <- s.Drain(ctx)
-	}()
-	waitFor(t, "draining visible", func() bool {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode == http.StatusServiceUnavailable
-	})
-	// New requests are shed with 503 while the old one is still running.
-	code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "block", Position: "4002", Depth: 0})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("during drain: status %d, want 503", code)
-	}
-	select {
-	case err := <-drained:
-		t.Fatalf("drain returned %v with a request still in flight", err)
-	default:
-	}
-	testGates.release(4001)
-	if code := <-inflight; code != http.StatusOK {
-		t.Fatalf("in-flight request answered %d, want 200", code)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// Drain is idempotent and the pools are closed.
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("second drain: %v", err)
+	// The in-flight request runs on each endpoint in turn; block
+	// positions wedge a solve in Evaluate just as they wedge a search.
+	for i, inflightEP := range endpoints {
+		t.Run(inflightEP.name, func(t *testing.T) {
+			id := fmt.Sprint(4001 + 10*i)
+			s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+			inflight := make(chan int, 1)
+			go func() {
+				code, _ := inflightEP.post(t, ts.URL, "block", id, 5000)
+				inflight <- code
+			}()
+			waitFor(t, "search in flight", func() bool { return s.Stats()["admitted"] == 1 })
+			drained := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				drained <- s.Drain(ctx)
+			}()
+			waitFor(t, "draining visible", func() bool {
+				resp, err := http.Get(ts.URL + "/healthz")
+				if err != nil {
+					return false
+				}
+				defer resp.Body.Close()
+				return resp.StatusCode == http.StatusServiceUnavailable
+			})
+			// New requests are shed with 503 while the old one is still running.
+			for _, ep := range endpoints {
+				code, _ := ep.post(t, ts.URL, "block", "4002", 0)
+				if code != http.StatusServiceUnavailable {
+					t.Fatalf("%s during drain: status %d, want 503", ep.name, code)
+				}
+			}
+			select {
+			case err := <-drained:
+				t.Fatalf("drain returned %v with a request still in flight", err)
+			default:
+			}
+			testGates.release(4001 + 10*uint64(i))
+			if code := <-inflight; code != http.StatusOK {
+				t.Fatalf("in-flight request answered %d, want 200", code)
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			// Drain is idempotent and the pools are closed.
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatalf("second drain: %v", err)
+			}
+		})
 	}
 }
 
@@ -419,5 +493,40 @@ func TestParsePositionKeys(t *testing.T) {
 		if key != tc.wantKey {
 			t.Errorf("%s/%s: key %q, want %q", tc.game, tc.pos, key, tc.wantKey)
 		}
+	}
+}
+
+// TestCachedSearchAllocs guards the allocation count of a cached
+// /v1/search request through the handler tree — the path the open-loop
+// serve workloads spend most requests on. The bound includes the
+// recorder and request the loop builds per call.
+func TestCachedSearchAllocs(t *testing.T) {
+	s := New(Config{Workers: 1, Pools: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+	}()
+	h := s.Handler()
+	const body = `{"game":"ttt","depth":3}`
+	serve := func() int {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/search", strings.NewReader(body)))
+		return rr.Code
+	}
+	if code := serve(); code != http.StatusOK {
+		t.Fatalf("warm-up status %d", code)
+	}
+	allocs := testing.AllocsPerRun(200, func() { serve() })
+	t.Logf("cached /v1/search: %.0f allocs/request", allocs)
+	if s.Stats()["cache_hits"] < 200 {
+		t.Fatalf("cache hits %d: the loop did not exercise the cached path", s.Stats()["cache_hits"])
+	}
+	if raceBuild {
+		t.Skip("allocation bound not enforced under the race detector")
+	}
+	const maxAllocs = 34 // the count before the endpoints shared one pipeline
+	if allocs > maxAllocs {
+		t.Fatalf("cached /v1/search: %.0f allocs/request, want at most %d", allocs, maxAllocs)
 	}
 }

@@ -1,37 +1,40 @@
 package serve
 
-// POST /v1/solve: proof-number solving behind the same operational stack
-// as /v1/search — drain gate, result cache, singleflight coalescing,
-// bounded admission queue, pool tokens, request deadlines. Differences
-// that matter:
+// POST /v1/solve: proof-number solving on the request path /v1/search
+// takes (see the package comment) — the same prologue, cache and
+// flight-group types, admission queue, pool tokens and error mapping,
+// with the solver as the work function. What is the solve endpoint's
+// own:
 //
 //   - A solve answers a win/loss question; the response carries a
 //     verdict plus the root proof/disproof numbers instead of a score.
+//   - The settle rule (settleSolve): a deadline does not produce a 504.
+//     A solver stopped without a verdict on its deadline, its node
+//     budget or its client's disconnect is parked in a bounded store
+//     keyed by canonical position, and the response is a 200 with
+//     partial=true and the best-so-far numbers. A later request for the
+//     same position checks the parked solver out and resumes where it
+//     stopped. A solver stopped by a panic, a closed pool or a drain is
+//     dropped, never parked. Only verdicts are cached.
+//   - Coalesced joiners wait searchGrace past their deadline, so the
+//     leader's partial reaches them instead of a 504.
 //   - Long solves can stream: stream=true switches the response to
 //     newline-delimited JSON progress frames (root pn/dn, node counts,
 //     frontier depth) followed by one final result frame. Streaming
-//     requests run attached to the client connection, so a client
-//     disconnect cancels the solve and releases the pool workers
-//     promptly (the solve-smoke CI job asserts exactly this via the
-//     pns counters on /metrics).
-//   - A deadline does not produce a 504: the solver's partial tree is
-//     parked in a bounded store keyed by canonical position and the
-//     response is a 200 with partial=true and the best-so-far numbers.
-//     A later request for the same position checks the parked solver
-//     out and resumes where it stopped.
+//     requests skip coalescing and run attached to the client
+//     connection, so a client disconnect cancels the solve and releases
+//     the pool workers promptly (the solve-smoke CI job asserts exactly
+//     this via the pns counters on /metrics).
 //
 // Solving requires the local pool substrate; a Backend (shard
 // coordinator) deployment answers 501.
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"gametree/internal/engine"
@@ -103,314 +106,120 @@ type solveOutcome struct {
 	resumed  bool
 }
 
-// solveCall is one in-flight solve; the solve mirror of flightCall.
-type solveCall struct {
-	done chan struct{}
-	out  solveOutcome
-	err  error
-}
-
-// solveFlights indexes in-flight solves by canonical position key.
-type solveFlights struct {
-	mu    sync.Mutex
-	calls map[string]*solveCall
-}
-
-func (g *solveFlights) join(key string) (c *solveCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[string]*solveCall)
-	}
-	if c := g.calls[key]; c != nil {
-		return c, false
-	}
-	c = &solveCall{done: make(chan struct{})}
-	g.calls[key] = c
-	return c, true
-}
-
-func (g *solveFlights) finish(key string, c *solveCall, out solveOutcome, err error) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	c.out, c.err = out, err
-	close(c.done)
-}
-
-// solverStore parks partially-solved trees between requests, bounded LRU
-// with checkout semantics: take removes the solver, so two concurrent
-// requests can never run one solver at once (the loser starts fresh and
-// leans on the shared transposition table instead).
-type solverStore struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type solverEntry struct {
-	key string
-	s   *pns.Solver
-}
-
-func newSolverStore(capacity int) *solverStore {
-	if capacity <= 0 {
-		return &solverStore{}
-	}
-	return &solverStore{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (st *solverStore) take(key string) (*pns.Solver, bool) {
-	if st.cap == 0 {
-		return nil, false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el, ok := st.items[key]
-	if !ok {
-		return nil, false
-	}
-	st.ll.Remove(el)
-	delete(st.items, key)
-	return el.Value.(*solverEntry).s, true
-}
-
-func (st *solverStore) put(key string, s *pns.Solver) {
-	if st.cap == 0 {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.items[key]; ok {
-		el.Value.(*solverEntry).s = s
-		st.ll.MoveToFront(el)
-		return
-	}
-	st.items[key] = st.ll.PushFront(&solverEntry{key: key, s: s})
-	if st.ll.Len() > st.cap {
-		oldest := st.ll.Back()
-		st.ll.Remove(oldest)
-		delete(st.items, oldest.Value.(*solverEntry).key)
-	}
-}
-
-func (st *solverStore) len() int {
-	if st.cap == 0 {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ll.Len()
-}
-
 // solveProgressInterval is the default streaming frame cadence.
 const solveProgressInterval = 100 * time.Millisecond
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.stats.solveRequests.Add(1)
-	start := time.Now()
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+	var req SolveRequest
+	x := s.open(w, r, &req)
+	defer s.close(&x)
+	if !x.admitted {
 		return
 	}
 	if s.cfg.Backend != nil {
-		writeJSON(w, http.StatusNotImplemented, errorResponse{"solve requires local pools (shard backend configured)"})
+		writeJSON(x.w, http.StatusNotImplemented, errorResponse{"solve requires local pools (shard backend configured)"})
 		return
-	}
-	var req SolveRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-		return
-	}
-	pos, posKey, err := ParsePosition(req.Game, req.Position)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-
-	// Admission gate: identical to /v1/search (see handleSearch).
-	s.drainMu.RLock()
-	if s.draining {
-		s.drainMu.RUnlock()
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	s.inflight.Add(1)
-	s.drainMu.RUnlock()
-	defer s.inflight.Done()
-	s.stats.inflight.Add(1)
-	defer s.stats.inflight.Add(-1)
-	defer func() { s.stats.latencyNs.Observe(time.Since(start).Nanoseconds()) }()
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
 	}
 	maxNodes := req.MaxNodes
 	if maxNodes <= 0 || maxNodes > s.cfg.SolveMaxNodes {
 		maxNodes = s.cfg.SolveMaxNodes
 	}
 
-	key := "solve!" + posKey
-	resp := SolveResponse{Game: req.Game, Position: keyPosition(posKey)}
-
+	key := x.posKey
+	resp := SolveResponse{Game: req.Game, Position: keyPosition(key)}
 	if out, ok := s.solveCache.get(key); ok {
 		s.stats.cacheHits.Add(1)
 		s.stats.completed.Add(1)
-		resp.fill(out, start, 0)
+		x.note("cache-hit")
+		resp.fill(out, x.start, 0)
 		resp.Cached = true
 		if req.Stream {
-			writeSolveStream(w, resp, nil)
+			writeSolveStream(x.w, resp, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(x.w, http.StatusOK, resp)
 		return
 	}
 	s.stats.cacheMisses.Add(1)
 
 	if req.Stream {
-		s.streamSolve(w, r, pos, posKey, key, resp, deadline, maxNodes, req.ProgressMs, start)
+		s.streamSolve(&x, r, resp, maxNodes, req.ProgressMs)
 		return
 	}
 
 	call, leader := s.solves.join(key)
 	if !leader {
-		s.stats.coalesced.Add(1)
 		// A deadline-stopped leader settles with a 200 partial up to
 		// searchGrace after its own deadline; the joiner waits the same
 		// slack, so it gets that partial rather than a 504.
-		select {
-		case <-call.done:
-		case <-time.After(deadline + searchGrace):
-			s.stats.deadlineExceeded.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{"deadline exceeded waiting for coalesced solve"})
-			return
-		case <-s.baseCtx.Done():
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
-			return
-		case <-r.Context().Done():
-			return
+		s.stats.coalesced.Add(1)
+		x.note("coalesced")
+		if s.await(&x, call.done, r.Context().Done(), x.deadline+searchGrace, "deadline exceeded waiting for coalesced solve") {
+			s.respondSolve(&x, resp, call, 0, true)
 		}
-		s.respondSolve(w, resp, call, start, 0, true)
 		return
 	}
-
-	// Leader path: bounded admission queue, then a resident pool.
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.solves.finish(key, call, solveOutcome{}, errOverloaded)
-		s.stats.rejectedQueue.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "admission queue full")
-		return
-	}
-	waitStart := time.Now()
-	var pool *engine.Pool
-	select {
-	case pool = <-s.free:
-	case <-time.After(deadline):
-		s.queued.Add(-1)
-		s.solves.finish(key, call, solveOutcome{}, errOverloaded)
-		s.stats.deadlineExceeded.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "deadline exceeded waiting for a pool")
-		return
-	case <-s.baseCtx.Done():
-		s.queued.Add(-1)
-		s.solves.finish(key, call, solveOutcome{}, errOverloaded)
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	s.queued.Add(-1)
-	queueWait := time.Since(waitStart)
-	s.stats.queueWaitNs.Observe(queueWait.Nanoseconds())
-	s.stats.admitted.Add(1)
-
-	// Detached like a search leader: the solve survives a leader
-	// disconnect for the sake of coalesced joiners, and the pool token is
-	// returned by this goroutine no matter how the response went.
-	budget := deadline - queueWait
-	sctx, cancel := context.WithTimeout(s.baseCtx, budget)
-	go func() {
-		defer cancel()
-		out, err := s.runSolve(sctx, pool, posKey, pos, maxNodes)
-		s.free <- pool
-		if err == nil && !out.partial {
-			s.solveCache.put(key, out)
-		}
-		s.solves.finish(key, call, out, err)
-	}()
-	select {
-	case <-call.done:
-		s.respondSolve(w, resp, call, start, queueWait, false)
-	case <-time.After(budget + searchGrace):
-		// Solver loops poll their stop predicate every descent, so this
-		// fires only if Position code wedged without returning.
-		s.stats.deadlineExceeded.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{"solve deadline exceeded"})
-	case <-s.baseCtx.Done():
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "cancelled by shutdown")
+	pos := x.pos
+	queueWait, settled := lead(s, &x, &s.solves, key, call, "solve",
+		func(ctx context.Context, pool *engine.Pool) (solveOutcome, error) {
+			solver, resumed := s.checkoutSolver(key, pos, maxNodes)
+			res, err := solver.SolveParallel(ctx, pool)
+			return s.settleSolve(key, solver, res, err, resumed, false)
+		})
+	if settled {
+		s.respondSolve(&x, resp, call, queueWait, false)
 	}
 }
 
-// runSolve checks out (or creates) the solver for posKey, runs it on
-// pool, and re-parks it when it stops without a verdict. A deadline
-// expiry is not an error here: the caller answers 200 with the partial
-// state — that is the /v1/solve contract. Other cancellations (drain,
-// pool close, panic) surface as errors.
-func (s *Server) runSolve(ctx context.Context, pool *engine.Pool, posKey string, pos engine.Position, maxNodes int64) (solveOutcome, error) {
-	solver, resumed := s.partials.take(posKey)
-	if resumed {
+// checkoutSolver takes the parked solver for posKey or builds a fresh
+// one. The request budget is incremental on resume: the parked tree
+// already spent its previous budget.
+func (s *Server) checkoutSolver(posKey string, pos engine.Position, maxNodes int64) (solver *pns.Solver, resumed bool) {
+	if parked, ok := s.partials.take(posKey); ok {
 		s.stats.solveResumed.Add(1)
-		// The request budget is incremental on resume: the parked tree
-		// already spent its previous budget.
-		solver.SetMaxNodes(solver.Progress().Expands + maxNodes)
-	} else {
-		solver = pns.New(pos, pns.Options{Table: s.table, MaxNodes: maxNodes})
+		parked.SetMaxNodes(parked.Progress().Expands + maxNodes)
+		return parked, true
 	}
-	res, err := solver.SolveParallel(ctx, pool)
-	out := solveOutcome{
-		verdict:  res.Verdict,
-		progress: solver.Progress(),
-		resumed:  resumed,
-	}
+	return pns.New(pos, pns.Options{Table: s.table, MaxNodes: maxNodes}), false
+}
+
+// settleSolve is the solve settle rule. A solver that stopped without a
+// verdict on its node budget (err nil), its deadline or its client going
+// away (disconnected) is parked for resume; one stopped by a panic, a
+// closed pool or a drain is dropped — a panicked descent leaves virtual
+// counts that no update ever unwinds. A deadline is not an error here:
+// the caller answers 200 with the partial state, never 504. A verdict
+// reached without error is cached.
+func (s *Server) settleSolve(posKey string, solver *pns.Solver, res pns.Result, err error, resumed, disconnected bool) (solveOutcome, error) {
+	out := solveOutcome{verdict: res.Verdict, progress: solver.Progress(), resumed: resumed}
+	deadline := errors.Is(err, context.DeadlineExceeded)
 	if res.Verdict == pns.Unknown {
 		out.partial = true
-		s.partials.put(posKey, solver)
-		s.stats.solvePartial.Add(1)
+		if err == nil || deadline || disconnected && errors.Is(err, engine.ErrCancelled) {
+			s.partials.put(posKey, solver)
+			s.stats.solvePartial.Add(1)
+		}
 	}
-	if err != nil && errors.Is(err, context.DeadlineExceeded) {
-		err = nil // deadline → 200 with partial state, never 504
+	if deadline {
+		err = nil
+	}
+	if err == nil && !out.partial {
+		s.solveCache.put(posKey, out)
 	}
 	return out, err
 }
 
 // respondSolve renders a settled solve flight for one waiter.
-func (s *Server) respondSolve(w http.ResponseWriter, resp SolveResponse, call *solveCall, start time.Time, queueWait time.Duration, coalesced bool) {
-	if err := call.err; err != nil {
-		switch {
-		case errors.Is(err, errOverloaded):
-			s.stats.rejectedQueue.Add(1)
-			s.shed(w, http.StatusTooManyRequests, "coalesced leader was shed")
-		case errors.Is(err, engine.ErrCancelled), errors.Is(err, engine.ErrPoolClosed):
-			s.stats.rejectedDraining.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "solve cancelled by shutdown")
-		default:
-			s.stats.failed.Add(1)
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		}
+func (s *Server) respondSolve(x *exchange, resp SolveResponse, call *flight[solveOutcome], queueWait time.Duration, coalesced bool) {
+	if call.err != nil {
+		s.fail(x.w, call.err, "solve")
 		return
 	}
 	s.stats.completed.Add(1)
-	resp.fill(call.out, start, queueWait)
+	resp.fill(call.val, x.start, queueWait)
 	resp.Coalesced = coalesced
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(x.w, http.StatusOK, resp)
 }
 
 func (r *SolveResponse) fill(out solveOutcome, start time.Time, queueWait time.Duration) {
@@ -430,62 +239,31 @@ func (r *SolveResponse) fill(out solveOutcome, start time.Time, queueWait time.D
 // streams progress frames. Streaming requests skip coalescing — each
 // client gets its own frame cadence — but still pay the admission queue
 // and a pool token, and still park partial trees for resume.
-func (s *Server) streamSolve(w http.ResponseWriter, r *http.Request, pos engine.Position, posKey, cacheKey string, resp SolveResponse, deadline time.Duration, maxNodes int64, progressMs int, start time.Time) {
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.stats.rejectedQueue.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "admission queue full")
+func (s *Server) streamSolve(x *exchange, r *http.Request, resp SolveResponse, maxNodes int64, progressMs int) {
+	pool, queueWait, ok := s.acquire(x, r.Context().Done())
+	if !ok {
 		return
 	}
-	waitStart := time.Now()
-	var pool *engine.Pool
-	select {
-	case pool = <-s.free:
-	case <-time.After(deadline):
-		s.queued.Add(-1)
-		s.stats.deadlineExceeded.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "deadline exceeded waiting for a pool")
-		return
-	case <-s.baseCtx.Done():
-		s.queued.Add(-1)
-		s.stats.rejectedDraining.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	case <-r.Context().Done():
-		s.queued.Add(-1)
-		return
-	}
-	s.queued.Add(-1)
-	queueWait := time.Since(waitStart)
-	s.stats.queueWaitNs.Observe(queueWait.Nanoseconds())
-	s.stats.admitted.Add(1)
 
 	// Attached context: client disconnect cancels the solve, which is
 	// what releases the pool workers promptly mid-stream. Server
 	// shutdown (baseCtx) must cut in too.
-	budget := deadline - queueWait
-	sctx, cancel := context.WithTimeout(r.Context(), budget)
+	sctx, cancel := context.WithTimeout(r.Context(), x.deadline-queueWait)
 	defer cancel()
 	stopWatch := context.AfterFunc(s.baseCtx, cancel)
 	defer stopWatch()
 
-	solver, resumed := s.partials.take(posKey)
-	if resumed {
-		s.stats.solveResumed.Add(1)
-		// The request budget is incremental on resume: the parked tree
-		// already spent its previous budget.
-		solver.SetMaxNodes(solver.Progress().Expands + maxNodes)
-	} else {
-		solver = pns.New(pos, pns.Options{Table: s.table, MaxNodes: maxNodes})
-	}
-
+	solver, resumed := s.checkoutSolver(x.posKey, x.pos, maxNodes)
 	type solveDone struct {
 		res pns.Result
 		err error
 	}
 	doneCh := make(chan solveDone, 1)
+	trace := x.trace
 	go func() {
+		start := time.Now()
 		res, err := solver.SolveParallel(sctx, pool)
+		s.recordWork(trace, start, err)
 		s.free <- pool
 		doneCh <- solveDone{res, err}
 	}()
@@ -497,6 +275,7 @@ func (s *Server) streamSolve(w http.ResponseWriter, r *http.Request, pos engine.
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 
+	w := x.w
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -508,44 +287,32 @@ func (s *Server) streamSolve(w http.ResponseWriter, r *http.Request, pos engine.
 			frame := SolveProgress{
 				PN: p.PN, DN: p.DN, Nodes: p.Nodes, Expands: p.Expands,
 				FrontierDepth: p.FrontierDepth,
-				ElapsedMs:     float64(time.Since(start).Nanoseconds()) / 1e6,
+				ElapsedMs:     float64(time.Since(x.start).Nanoseconds()) / 1e6,
 			}
 			if err := enc.Encode(map[string]SolveProgress{"progress": frame}); err != nil {
 				// Client gone: cancel and wait for the workers to unwind
 				// so the pool token is back before we return.
 				cancel()
-				<-doneCh
-				s.parkPartial(posKey, solver)
+				d := <-doneCh
+				_, _ = s.settleSolve(x.posKey, solver, d.res, d.err, resumed, true)
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
 		case d := <-doneCh:
-			out := solveOutcome{verdict: d.res.Verdict, progress: solver.Progress(), resumed: resumed}
-			if d.res.Verdict == pns.Unknown {
-				out.partial = true
-				s.parkPartial(posKey, solver)
-			} else if d.err == nil {
-				s.solveCache.put(cacheKey, out)
-			}
-			if d.err != nil && !errors.Is(d.err, context.DeadlineExceeded) && !errors.Is(d.err, context.Canceled) {
+			out, err := s.settleSolve(x.posKey, solver, d.res, d.err, resumed, r.Context().Err() != nil)
+			if err != nil {
 				s.stats.failed.Add(1)
-				writeSolveStream(w, resp, fmt.Errorf("solve failed: %w", d.err))
+				writeSolveStream(w, resp, fmt.Errorf("solve failed: %w", err))
 				return
 			}
 			s.stats.completed.Add(1)
-			resp.fill(out, start, queueWait)
+			resp.fill(out, x.start, queueWait)
 			writeSolveStream(w, resp, nil)
 			return
 		}
 	}
-}
-
-// parkPartial stores a stopped solver for resume and bumps the counter.
-func (s *Server) parkPartial(posKey string, solver *pns.Solver) {
-	s.partials.put(posKey, solver)
-	s.stats.solvePartial.Add(1)
 }
 
 // writeSolveStream emits the final frame of a streaming response (the
@@ -569,59 +336,5 @@ func (s *Server) SolveStats() map[string]int64 {
 		"solve_partial":  s.stats.solvePartial.Load(),
 		"solve_resumed":  s.stats.solveResumed.Load(),
 		"parked_solvers": int64(s.partials.len()),
-	}
-}
-
-// solveCache is a bounded LRU of completed (non-partial) solve
-// outcomes — the solve twin of resultCache.
-type solveCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type solveCacheEntry struct {
-	key string
-	out solveOutcome
-}
-
-func newSolveCache(capacity int) *solveCache {
-	if capacity <= 0 {
-		return &solveCache{}
-	}
-	return &solveCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (c *solveCache) get(key string) (solveOutcome, bool) {
-	if c.cap == 0 {
-		return solveOutcome{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return solveOutcome{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*solveCacheEntry).out, true
-}
-
-func (c *solveCache) put(key string, out solveOutcome) {
-	if c.cap == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*solveCacheEntry).out = out
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&solveCacheEntry{key: key, out: out})
-	if c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*solveCacheEntry).key)
 	}
 }

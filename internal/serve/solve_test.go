@@ -6,9 +6,34 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gametree/internal/engine"
 )
+
+// panicNext arms the "panic-once" game: the next Moves call on one of
+// its positions panics, and disarms it.
+var panicNext atomic.Bool
+
+// panicOncePos is a nim position whose Moves panics while panicNext is
+// armed — a worker panic in the middle of a solver descent.
+type panicOncePos struct{ engine.Position }
+
+func (p panicOncePos) Moves() []engine.Position {
+	if panicNext.CompareAndSwap(true, false) {
+		panic("boom")
+	}
+	return p.Position.Moves()
+}
+
+func init() {
+	RegisterGame("panic-once", func(position string) (engine.Position, string, error) {
+		pos, canon, err := parseNimPosition(position)
+		return panicOncePos{pos}, canon, err
+	})
+}
 
 func postSolve(t *testing.T, url string, req SolveRequest) (int, SolveResponse, errorResponse) {
 	t.Helper()
@@ -303,5 +328,26 @@ func TestSolveJoinerGetsPartial(t *testing.T) {
 	}
 	if code := <-leader; code != http.StatusOK {
 		t.Fatalf("leader: status %d, want the 200 partial", code)
+	}
+}
+
+// TestSolvePanicNotParked: a solve stopped by a worker panic answers 500
+// and is not parked — its tree still holds the panicked descent's
+// virtual counts — so the repeat request starts fresh and solves. One
+// worker: the panic leaves the root's expansion lock held.
+func TestSolvePanicNotParked(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Pools: 1})
+	panicNext.Store(true)
+	req := SolveRequest{Game: "panic-once", Position: "1,2,4"}
+	code, _, fail := postSolve(t, ts.URL, req)
+	if code != http.StatusInternalServerError || !strings.Contains(fail.Error, "boom") {
+		t.Fatalf("panicked solve: status %d %+v, want 500 with the panic", code, fail)
+	}
+	if got := s.SolveStats()["parked_solvers"]; got != 0 {
+		t.Fatalf("parked_solvers = %d after a panic, want 0", got)
+	}
+	code, ok, fail := postSolve(t, ts.URL, req)
+	if code != http.StatusOK || ok.Verdict != "proven" || ok.Resumed {
+		t.Fatalf("repeat: status %d verdict=%q resumed=%v (%+v)", code, ok.Verdict, ok.Resumed, fail)
 	}
 }

@@ -48,40 +48,50 @@ func tracerSpans(tr *reqtrace.Tracer, trace, stage string) []reqtrace.Span {
 
 // TestTraceHeaderAdopted: an inbound X-GT-Trace is honoured regardless
 // of sampling, echoed on the response, and stamps the request, queue and
-// search spans.
+// search spans — on either endpoint.
 func TestTraceHeaderAdopted(t *testing.T) {
-	tr := reqtrace.New(0, "single", 0, 0) // sampling off: only the header opts in
-	_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr})
+	for _, tc := range []struct {
+		path, trace string
+		req         any
+	}{
+		{"/v1/search", "tr-serve-1", SearchRequest{Game: "ttt", Depth: 3}},
+		{"/v1/solve", "tr-solve-1", SolveRequest{Game: "nim", Position: "1,2,4"}},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			tr := reqtrace.New(0, "single", 0, 0) // sampling off: only the header opts in
+			_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr})
 
-	body, _ := json.Marshal(SearchRequest{Game: "ttt", Depth: 3})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(body))
-	req.Header.Set("X-GT-Trace", "tr-serve-1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+			body, _ := json.Marshal(tc.req)
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(body))
+			req.Header.Set("X-GT-Trace", tc.trace)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			if got := resp.Header.Get("X-GT-Trace"); got != tc.trace {
+				t.Fatalf("echoed trace header: got %q, want %s", got, tc.trace)
+			}
+			reqs := tracerSpans(tr, tc.trace, reqtrace.StageRequest)
+			if len(reqs) != 1 {
+				t.Fatalf("request spans: got %d, want 1", len(reqs))
+			}
+			if !strings.HasPrefix(reqs[0].Note, "200") {
+				t.Errorf("request span note: got %q, want 200 ...", reqs[0].Note)
+			}
+			if n := len(tracerSpans(tr, tc.trace, reqtrace.StageQueue)); n != 1 {
+				t.Errorf("queue spans: got %d, want 1", n)
+			}
+			// The search span is recorded by the detached work goroutine
+			// and can trail the response.
+			waitFor(t, "search span", func() bool {
+				return len(tracerSpans(tr, tc.trace, reqtrace.StageSearch)) == 1
+			})
+		})
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-GT-Trace"); got != "tr-serve-1" {
-		t.Fatalf("echoed trace header: got %q, want tr-serve-1", got)
-	}
-	reqs := tracerSpans(tr, "tr-serve-1", reqtrace.StageRequest)
-	if len(reqs) != 1 {
-		t.Fatalf("request spans: got %d, want 1", len(reqs))
-	}
-	if !strings.HasPrefix(reqs[0].Note, "200") {
-		t.Errorf("request span note: got %q, want 200 ...", reqs[0].Note)
-	}
-	if n := len(tracerSpans(tr, "tr-serve-1", reqtrace.StageQueue)); n != 1 {
-		t.Errorf("queue spans: got %d, want 1", n)
-	}
-	// The search span is recorded by the detached search goroutine and
-	// can trail the response.
-	waitFor(t, "search span", func() bool {
-		return len(tracerSpans(tr, "tr-serve-1", reqtrace.StageSearch)) == 1
-	})
 }
 
 // TestTraceEngineSpans: with the tracer attached to the recorder (as
@@ -173,52 +183,69 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestAccessLog: one JSON line per request — leader search, cache hit
-// and a 4xx — each with outcome, latency and status.
+// TestAccessLog: one JSON line per request — leader, cache hit and a
+// 4xx — each with outcome, latency and status, on either endpoint.
 func TestAccessLog(t *testing.T) {
-	tr := reqtrace.New(0, "single", 1, 0)
-	var buf syncBuf
-	_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr, AccessLog: &buf})
+	for _, tc := range []struct {
+		path      string
+		good, bad any
+		game      string
+		depth     int
+	}{
+		{"/v1/search", SearchRequest{Game: "ttt", Depth: 2}, SearchRequest{Game: "nope", Depth: 2}, "ttt", 2},
+		{"/v1/solve", SolveRequest{Game: "nim", Position: "1,2,4"}, SolveRequest{Game: "nope"}, "nim", 0},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			tr := reqtrace.New(0, "single", 1, 0)
+			var buf syncBuf
+			_, ts := newTestServer(t, Config{Workers: 2, Pools: 1, Tracer: tr, AccessLog: &buf})
 
-	if code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "ttt", Depth: 2}); code != 200 {
-		t.Fatalf("search status %d", code)
-	}
-	if code, ok, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "ttt", Depth: 2}); code != 200 || !ok.Cached {
-		t.Fatalf("expected cache hit, got status %d cached=%v", code, ok.Cached)
-	}
-	if code, _, _, _ := postSearch(t, ts.URL, SearchRequest{Game: "nope", Depth: 2}); code != http.StatusBadRequest {
-		t.Fatalf("bad game status %d", code)
-	}
+			if code, _, _ := postJSON(t, ts.URL+tc.path, tc.good); code != 200 {
+				t.Fatalf("leader status %d", code)
+			}
+			code, _, body := postJSON(t, ts.URL+tc.path, tc.good)
+			var cached struct {
+				Cached bool `json:"cached"`
+			}
+			_ = json.Unmarshal(body, &cached)
+			if code != 200 || !cached.Cached {
+				t.Fatalf("expected cache hit, got status %d cached=%v", code, cached.Cached)
+			}
+			if code, _, _ := postJSON(t, ts.URL+tc.path, tc.bad); code != http.StatusBadRequest {
+				t.Fatalf("bad game status %d", code)
+			}
 
-	waitFor(t, "3 access-log lines", func() bool {
-		return strings.Count(buf.String(), "\n") == 3
-	})
-	type line struct {
-		Trace   string `json:"trace"`
-		Game    string `json:"game"`
-		Depth   int    `json:"depth"`
-		Outcome string `json:"outcome"`
-		QueueNs int64  `json:"queue_ns"`
-		TotalNs int64  `json:"total_ns"`
-		Status  int    `json:"status"`
-	}
-	var lines []line
-	for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var l line
-		if err := json.Unmarshal([]byte(raw), &l); err != nil {
-			t.Fatalf("bad access-log line %q: %v", raw, err)
-		}
-		lines = append(lines, l)
-	}
-	if lines[0].Outcome != "search" || lines[0].Status != 200 || lines[0].Game != "ttt" ||
-		lines[0].Depth != 2 || lines[0].Trace == "" || lines[0].TotalNs <= 0 {
-		t.Errorf("leader line: %+v", lines[0])
-	}
-	if lines[1].Outcome != "cache-hit" || lines[1].Status != 200 {
-		t.Errorf("cache-hit line: %+v", lines[1])
-	}
-	if lines[2].Status != http.StatusBadRequest || lines[2].Outcome != "" {
-		t.Errorf("bad-request line: %+v", lines[2])
+			waitFor(t, "3 access-log lines", func() bool {
+				return strings.Count(buf.String(), "\n") == 3
+			})
+			type line struct {
+				Trace   string `json:"trace"`
+				Game    string `json:"game"`
+				Depth   int    `json:"depth"`
+				Outcome string `json:"outcome"`
+				QueueNs int64  `json:"queue_ns"`
+				TotalNs int64  `json:"total_ns"`
+				Status  int    `json:"status"`
+			}
+			var lines []line
+			for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var l line
+				if err := json.Unmarshal([]byte(raw), &l); err != nil {
+					t.Fatalf("bad access-log line %q: %v", raw, err)
+				}
+				lines = append(lines, l)
+			}
+			if lines[0].Outcome != "search" || lines[0].Status != 200 || lines[0].Game != tc.game ||
+				lines[0].Depth != tc.depth || lines[0].Trace == "" || lines[0].TotalNs <= 0 {
+				t.Errorf("leader line: %+v", lines[0])
+			}
+			if lines[1].Outcome != "cache-hit" || lines[1].Status != 200 {
+				t.Errorf("cache-hit line: %+v", lines[1])
+			}
+			if lines[2].Status != http.StatusBadRequest || lines[2].Outcome != "" {
+				t.Errorf("bad-request line: %+v", lines[2])
+			}
+		})
 	}
 }
 
